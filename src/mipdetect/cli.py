@@ -66,7 +66,8 @@ def load_dataset(path: str, delimiter: str, header_mode: str, response_col: str)
     """Parse a rectangular numeric CSV into a Dataset.
 
     Returns (dataset, sha256-of-input-bytes). Parse problems raise
-    CliError(2) with row/column positions (1-based, header included).
+    CliError(2) with row/column positions (1-based, header included), or
+    the 1-based byte offset of the first byte that is not valid UTF-8.
     """
     try:
         with open(path, "rb") as fh:
@@ -75,7 +76,10 @@ def load_dataset(path: str, delimiter: str, header_mode: str, response_col: str)
         raise CliError(2, f"cannot read {path}: {e}") from e
     digest = hashlib.sha256(raw).hexdigest()
 
-    lines = raw.decode("utf-8", errors="replace").splitlines()
+    try:
+        lines = raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        raise CliError(2, f"{path}: invalid UTF-8 at byte {e.start + 1}") from None
     rows = [line.split(delimiter) for line in lines if line.strip() != ""]
     if not rows:
         raise CliError(2, "input has no rows")

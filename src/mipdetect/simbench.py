@@ -240,13 +240,6 @@ def fit_metrics(beta_hat: np.ndarray, beta_true: np.ndarray) -> tuple[float, flo
     return err, float(tpr_vs), float(fpr_vs)
 
 
-def bic(rss: float, n: int, k: int) -> float:
-    """n log(rss/n) + k log(n), for comparing refits after cleaning."""
-    if rss <= 0 or n < 1:
-        raise ValueError("need positive rss and n")
-    return n * math.log(rss / n) + k * math.log(n)
-
-
 # ---------------------------------------------------------------------------
 # lasso
 # ---------------------------------------------------------------------------
@@ -672,10 +665,3 @@ def results_to_csv(rows: list[MetricRow]) -> str:
             )
         )
     return "\n".join(lines) + "\n"
-
-
-def results_to_json(rows: list[MetricRow]) -> list[dict]:
-    return [
-        {col: getattr(r, col) for col in RESULT_COLUMNS}
-        for r in rows
-    ]

@@ -9,19 +9,29 @@ where |A_r| = n_sub - 1. T_min and T_max for k are the extremes of that
 statistic over m independently drawn subsets; under the null both are
 asymptotically chi-square(1).
 
-Subsets are drawn from counter-based streams keyed by
+One draw: every subset comes from a counter-based Philox stream keyed by
 (master seed, target, round, subset id), so any plan can be regenerated
 in isolation and results never depend on evaluation order or worker
 count. Each stream yields one uniform per eligible observation and the
 subset is the n_sub - 1 smallest keys, which is a uniform
-without-replacement sample.
+without-replacement sample. ``_draw`` is the only place that happens.
+
+Two column-sum sources: the private mode draws m subsets per target
+from the target's own streams and sums them with one indicator-matrix
+product per block of targets; the shared mode draws one pool from a
+reserved target slot, sums it once, and gives each target the first m
+pooled subsets that exclude it (a target the pool cannot serve uses its
+private sums).
+
+One kernel: ``_group_stats`` turns either source's sums into the
+statistics.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -54,13 +64,43 @@ def _stream_key(seed: int, k: int, round_id: int, r: int) -> int:
     return ((int(seed) & 0xFFFFFFFFFFFFFFFF) << 64) | low
 
 
-def _uniform_rows(seed: int, k: int, round_id: int, m: int, width: int) -> np.ndarray:
-    """One row of uniforms per subset id, each from its own keyed stream."""
-    u = np.empty((m, width))
-    for r in range(m):
-        bg = np.random.Philox(key=_stream_key(seed, k, round_id, r))
-        u[r] = np.random.Generator(bg).random(width)
+def _uniform_rows(seed: int, keys, round_id: int, m: int, width: int) -> np.ndarray:
+    """One row of uniforms per (target key, subset id), each from its own stream.
+
+    Rows are ordered key-major. A Philox stream is fixed by its key alone,
+    so one bit generator per call is re-keyed for every row instead of
+    building a new one; it is local to the call because sweep blocks run
+    on a thread pool.
+    """
+    bg = np.random.Philox(0)
+    gen = np.random.Generator(bg)
+    state = bg.state
+    # every row starts a fresh stream: empty output buffer, no cached half-word
+    state["buffer_pos"] = 4
+    state["has_uint32"] = 0
+    u = np.empty((len(keys) * m, width))
+    row = 0
+    for k in keys:
+        for r in range(m):
+            key = _stream_key(seed, int(k), round_id, r)
+            state["state"] = {"counter": [0, 0, 0, 0], "key": [key & 0xFFFFFFFFFFFFFFFF, key >> 64]}
+            bg.state = state
+            gen.random(out=u[row])
+            row += 1
     return u
+
+
+def _draw(seed: int, keys, round_id: int, m: int, width: int, s: int) -> np.ndarray:
+    """(len(keys) * m, s) positions in range(width), one unsorted subset per row."""
+    u = _uniform_rows(seed, keys, round_id, m, width)
+    return np.argpartition(u, s - 1, axis=1)[:, :s]
+
+
+def _indicator(cols: np.ndarray, width: int) -> np.ndarray:
+    """0/1 matrix with a one at (row, cols[row, j]) for every j."""
+    W = np.zeros((cols.shape[0], width))
+    W[np.arange(cols.shape[0])[:, None], cols] = 1.0
+    return W
 
 
 def subset_size(n_active: int, k_sub: float) -> int:
@@ -90,7 +130,6 @@ class SubsetPlan:
     subsets: np.ndarray
     master_seed: int
     round_id: int
-    _colsums: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def m(self) -> int:
@@ -99,19 +138,6 @@ class SubsetPlan:
     @property
     def n_sub(self) -> int:
         return self.subsets.shape[1] + 1
-
-    def column_sums(self, Z: InfluenceMatrix) -> np.ndarray:
-        """(m, p) sums of Z rows over each subset, cached per matrix."""
-        key = id(Z.Z)
-        cached = self._colsums.get(key)
-        if cached is not None:
-            return cached
-        uniq = np.unique(self.subsets)
-        W = np.zeros((self.m, uniq.size))
-        W[np.arange(self.m)[:, None], np.searchsorted(uniq, self.subsets)] = 1.0
-        out = W @ Z.Z[uniq]
-        self._colsums[key] = out
-        return out
 
 
 def draw_subsets(active, k: int, m: int, n_sub: int, seed: int, round_id: int = 0) -> SubsetPlan:
@@ -133,8 +159,7 @@ def draw_subsets(active, k: int, m: int, n_sub: int, seed: int, round_id: int = 
         raise ValueError(
             f"subset size {s} impossible with {eligible.size} eligible observations"
         )
-    u = _uniform_rows(seed, int(k), round_id, m, eligible.size)
-    pick = np.sort(np.argpartition(u, s - 1, axis=1)[:, :s], axis=1)
+    pick = np.sort(_draw(seed, [k], round_id, m, eligible.size, s), axis=1)
     return SubsetPlan(
         k=int(k), subsets=eligible[pick], master_seed=int(seed), round_id=int(round_id)
     )
@@ -158,13 +183,12 @@ class MinMaxStats:
             raise ValueError("need 0 <= t_min <= t_max")
 
 
-def group_statistic(Z: InfluenceMatrix, A_r, k: int, n_sub: int, colsum=None) -> float:
+def group_statistic(Z: InfluenceMatrix, A_r, k: int, n_sub: int) -> float:
     """Group-deletion statistic n_sub^2 * D_{r,k} for one subset.
 
     Computed in the incremental form p^{-1} || colsum(A_r)/(n_sub-1) - Z_k ||^2,
     which is algebraically identical to comparing the marginal-correlation
-    estimates with and without the target. Pass ``colsum`` to reuse a
-    cached column sum.
+    estimates with and without the target.
     """
     idx = np.asarray(A_r, dtype=np.int64)
     if n_sub < 2 or idx.size != n_sub - 1:
@@ -175,9 +199,7 @@ def group_statistic(Z: InfluenceMatrix, A_r, k: int, n_sub: int, colsum=None) ->
         raise ValueError("subset must not contain the target")
     if not (0 <= k < Z.n):
         raise ValueError("target index out of range")
-    if colsum is None:
-        colsum = Z.Z[idx].sum(axis=0)
-    diff = colsum / (n_sub - 1) - Z.Z[k]
+    diff = Z.Z[idx].sum(axis=0) / (n_sub - 1) - Z.Z[k]
     return float(np.mean(diff * diff))
 
 
@@ -217,31 +239,25 @@ def _chunk_targets(m: int, p: int) -> int:
     return max(1, min(64, 4_000_000 // max(1, m * p)))
 
 
-def _chunk_stats(Zu, span, m, s, seed, round_id, av):
-    """Group statistics for a contiguous block of target positions.
+def _private_sums(Zu, av, positions, m, s, seed, round_id) -> np.ndarray:
+    """(len(positions) * m, p) column sums of each target's own m subsets."""
+    pick = _draw(seed, av[positions], round_id, m, Zu.shape[0] - 1, s)
+    # eligible position q maps to working-set position q + (q >= target)
+    tpos = np.repeat(positions, m)
+    return _indicator(pick + (pick >= tpos[:, None]), Zu.shape[0]) @ Zu
 
-    Returns (len(span), m). One indicator-matrix product yields every
-    subset's column sums; the statistic uses the squared-difference form
-    directly (no cross-term expansion) so near-zero values keep full
+
+def _group_stats(sums: np.ndarray, Zk: np.ndarray, s: int) -> np.ndarray:
+    """(nk, m) group statistics from (nk * m, p) subset sums and (nk, p) target rows.
+
+    Works in place on ``sums`` and uses the squared-difference form
+    directly (no cross-term expansion), so near-zero values keep full
     precision.
     """
-    n_U, p = Zu.shape
-    nk = len(span)
-    U = np.empty((nk * m, n_U - 1))
-    row = 0
-    for i in span:
-        U[row:row + m] = _uniform_rows(seed, int(av[i]), round_id, m, n_U - 1)
-        row += m
-    pick = np.argpartition(U, s - 1, axis=1)[:, :s]
-    # eligible position q maps to working-set position q + (q >= target)
-    tpos = np.repeat(np.arange(span.start, span.stop), m)
-    cols = pick + (pick >= tpos[:, None])
-    W = np.zeros((nk * m, n_U))
-    W[np.arange(nk * m)[:, None], cols] = 1.0
-    group = W @ Zu
+    nk, p = Zk.shape
+    group = sums.reshape(nk, -1, p)
     group *= 1.0 / s
-    group = group.reshape(nk, m, p)
-    group -= Zu[span.start:span.stop][:, None, :]
+    group -= Zk[:, None, :]
     stats = np.einsum("abj,abj->ab", group, group)
     stats /= p
     return stats
@@ -265,7 +281,8 @@ def min_max_sweep(
     Returns (t_min, t_max, per_subset) aligned with the sorted active set
     (or with ``targets`` when given); per_subset is None unless requested.
     Output is a pure function of the arguments: thread count and chunking
-    never change a bit.
+    never change a bit. Private sweeps run in blocks of targets, on
+    ``threads`` workers; shared sweeps serve one target at a time.
     """
     av = np.unique(np.asarray(active, dtype=np.int64))
     n_U = av.size
@@ -281,81 +298,39 @@ def min_max_sweep(
         if (positions >= n_U).any() or (av[positions] != targets).any():
             raise ValueError("targets must belong to the active set")
 
-    if shared:
-        return _sweep_shared(Z, Zu, av, positions, m, s, seed, round_id, keep_per_subset)
-
     nt = positions.size
     t_min = np.empty(nt)
     t_max = np.empty(nt)
     per = np.empty((nt, m)) if keep_per_subset else None
 
-    # positions from searchsorted are sorted iff targets were; chunk over
-    # the output order either way
-    chunk = _chunk_targets(m, Zu.shape[1])
-    blocks = [(lo, min(lo + chunk, nt)) for lo in range(0, nt, chunk)]
-
-    def run_block(lo, hi):
-        for j in range(lo, hi):
-            i = int(positions[j])
-            stats = _chunk_stats(Zu, range(i, i + 1), m, s, seed, round_id, av)
-            t_min[j] = stats.min()
-            t_max[j] = stats.max()
-            if per is not None:
-                per[j] = stats[0]
-
-    def run_block_contiguous(lo, hi):
-        span = range(int(positions[lo]), int(positions[hi - 1]) + 1)
-        stats = _chunk_stats(Zu, span, m, s, seed, round_id, av)
+    def emit(lo, hi, sums):
+        stats = _group_stats(sums, Zu[positions[lo:hi]], s)
         t_min[lo:hi] = stats.min(axis=1)
         t_max[lo:hi] = stats.max(axis=1)
         if per is not None:
             per[lo:hi] = stats
 
-    contiguous = bool(
-        nt and (np.diff(positions) == 1).all()
-    ) if nt > 1 else True
+    def private_block(lo, hi):
+        emit(lo, hi, _private_sums(Zu, av, positions[lo:hi], m, s, seed, round_id))
 
-    runner = run_block_contiguous if contiguous else run_block
+    if shared:
+        M = int(math.ceil(_SHARED_OVERDRAW * m))
+        member = _indicator(_draw(seed, [_SHARED_KEY_SLOT], round_id, M, n_U, s), n_U)
+        pooled = member @ Zu
+        for j in range(nt):
+            usable = np.flatnonzero(member[:, positions[j]] == 0.0)
+            if usable.size >= m:
+                emit(j, j + 1, pooled[usable[:m]])
+            else:
+                private_block(j, j + 1)
+        return t_min, t_max, per
+
+    chunk = _chunk_targets(m, Zu.shape[1])
+    blocks = [(lo, min(lo + chunk, nt)) for lo in range(0, nt, chunk)]
     if threads and threads > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda b: runner(*b), blocks))
+            list(pool.map(lambda b: private_block(*b), blocks))
     else:
         for b in blocks:
-            runner(*b)
-    return t_min, t_max, per
-
-
-def _sweep_shared(Z, Zu, av, positions, m, s, seed, round_id, keep_per_subset):
-    """Shared-subsets variant: one pooled draw reused across targets.
-
-    Draws a pool of subsets from the whole working set and, per target,
-    keeps the first m that exclude it; any target with too few usable
-    pooled subsets falls back to its own per-target plan.
-    """
-    n_U, p = Zu.shape
-    M = int(math.ceil(_SHARED_OVERDRAW * m))
-    U = _uniform_rows(seed, _SHARED_KEY_SLOT, round_id, M, n_U)
-    pick = np.argpartition(U, s - 1, axis=1)[:, :s]
-    member = np.zeros((M, n_U), dtype=bool)
-    member[np.arange(M)[:, None], pick] = True
-    colsums = member.astype(np.float64) @ Zu
-
-    nt = positions.size
-    t_min = np.empty(nt)
-    t_max = np.empty(nt)
-    per = np.empty((nt, m)) if keep_per_subset else None
-    for j in range(nt):
-        i = int(positions[j])
-        usable = np.flatnonzero(~member[:, i])
-        if usable.size >= m:
-            sel = colsums[usable[:m]]
-        else:
-            plan = draw_subsets(av, int(av[i]), m, s + 1, seed, round_id)
-            sel = plan.column_sums(Z)
-        diff = sel * (1.0 / s) - Zu[i]
-        stats = np.einsum("rj,rj->r", diff, diff) / p
-        t_min[j] = stats.min()
-        t_max[j] = stats.max()
-        if per is not None:
-            per[j] = stats
+            private_block(*b)
     return t_min, t_max, per

@@ -61,6 +61,12 @@ def write_text(tmp_path, name, text):
     return path
 
 
+def write_bytes(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    return path
+
+
 @pytest.fixture(scope="module")
 def small_csv(tmp_path_factory):
     lab = gen_scenario(
@@ -364,6 +370,10 @@ def test_unusable_inputs_exit_2(tmp_path, monkeypatch):
         (["detect", write_text(tmp_path, "hdr.csv", "y,x1\n"), *outs],
          "header but no data rows"),
         (["detect", write_text(tmp_path, "empty.csv", "\n\n"), *outs], "no rows"),
+        (["detect", write_bytes(tmp_path, "cell.csv", b"y,x1,x2\n1,2,3\n4,\xff5,6\n7,8,9\n1,2,1\n"), *outs],
+         "invalid UTF-8 at byte 17"),
+        (["detect", write_bytes(tmp_path, "head.csv", b"y,x\xe91,x2\n1,2,3\n4,5,6\n7,8,9\n1,2,1\n"), *outs],
+         "invalid UTF-8 at byte 4"),
         (["detect", ok, "--response-col", "z", *outs], "neither a header name nor a position"),
         (["detect", ok, "--response-col", "9", *outs], "out of range 1..3"),
         (["detect", ok, "--threads", 0, *outs], "thread count must be at least 1"),

@@ -24,7 +24,6 @@ from mipdetect.simbench import (
     _BETA_HEAD_SWAMPING,
     _lasso_path,
     _streams,
-    bic,
     default_lambda_grid,
     detection_metrics,
     fit_metrics,
@@ -34,7 +33,6 @@ from mipdetect.simbench import (
     lasso_fit,
     oracle_decomposition,
     results_to_csv,
-    results_to_json,
 )
 from mipdetect.subsample import draw_subsets, group_statistic, subset_size
 
@@ -266,14 +264,6 @@ def test_fit_metrics_validation():
         fit_metrics(np.ones(3), np.zeros(3))
 
 
-def test_bic_hand_value():
-    assert bic(2.5, 10, 3) == pytest.approx(10 * math.log(0.25) + 3 * math.log(10))
-    with pytest.raises(ValueError):
-        bic(0.0, 10, 3)
-    with pytest.raises(ValueError):
-        bic(1.0, 0, 3)
-
-
 # ---------------------------------------------------------------------------
 # lasso
 # ---------------------------------------------------------------------------
@@ -503,14 +493,3 @@ def test_results_csv_round_trip():
     full_line = lines[2].split(",")
     assert full_line[2] == ""
     assert full_line[5] != ""
-
-
-def test_results_json_mirrors_columns():
-    rows = sample_rows()
-    out = results_to_json(rows)
-    assert len(out) == len(rows)
-    for rec, row in zip(out, rows):
-        assert tuple(rec) == RESULT_COLUMNS
-        assert rec["method"] == row.method
-        assert rec["reps"] == row.reps
-        assert rec["err"] == row.err or (math.isnan(rec["err"]) and math.isnan(row.err))

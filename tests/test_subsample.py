@@ -163,19 +163,6 @@ def test_group_statistic_validates_membership_and_size():
         group_statistic(Z, np.array([0, 1, 1]), k=5, n_sub=4)  # repeated row
 
 
-def test_cached_column_sums_are_reused_and_consistent():
-    rng = np.random.default_rng(18)
-    Z = influence_from(rng.standard_normal((20, 6)))
-    plan = draw_subsets(np.arange(20), k=4, m=12, n_sub=9, seed=5)
-    first = plan.column_sums(Z)
-    assert plan.column_sums(Z) is first  # cached per matrix
-    direct = np.stack([Z.Z[row].sum(axis=0) for row in plan.subsets])
-    assert np.max(np.abs(first - direct)) <= 1e-12
-    via_cache = group_statistic(Z, plan.subsets[3], k=4, n_sub=9, colsum=first[3])
-    plain = group_statistic(Z, plan.subsets[3], k=4, n_sub=9)
-    assert via_cache == plain
-
-
 # ---------------------------------------------------------------------------
 # point energy
 # ---------------------------------------------------------------------------
@@ -274,22 +261,24 @@ def test_sweep_is_bitwise_invariant_to_thread_count():
     rng = np.random.default_rng(24)
     Z = influence_from(rng.standard_normal((40, 15)))
     active = np.arange(40)
-    one = min_max_sweep(Z, active, 30, 21, seed=77, round_id=0, threads=1)
-    three = min_max_sweep(Z, active, 30, 21, seed=77, round_id=0, threads=3)
-    assert np.array_equal(one[0], three[0])
-    assert np.array_equal(one[1], three[1])
+    for shared in (False, True):
+        one = min_max_sweep(Z, active, 30, 21, seed=77, round_id=0, threads=1, shared=shared)
+        three = min_max_sweep(Z, active, 30, 21, seed=77, round_id=0, threads=3, shared=shared)
+        assert np.array_equal(one[0], three[0])
+        assert np.array_equal(one[1], three[1])
 
 
 def test_sweep_honors_an_explicit_target_list():
     rng = np.random.default_rng(25)
     Z = influence_from(rng.standard_normal((20, 5)))
     active = np.arange(20)
-    full = min_max_sweep(Z, active, 15, 11, seed=5, round_id=0)
     targets = np.array([2, 9, 17], dtype=np.int64)
-    part = min_max_sweep(Z, active, 15, 11, seed=5, round_id=0, targets=targets)
-    for pos, t in enumerate(targets):
-        assert part[0][pos] == full[0][t]
-        assert part[1][pos] == full[1][t]
+    for shared in (False, True):
+        full = min_max_sweep(Z, active, 15, 11, seed=5, round_id=0, shared=shared)
+        part = min_max_sweep(Z, active, 15, 11, seed=5, round_id=0, targets=targets, shared=shared)
+        for pos, t in enumerate(targets):
+            assert part[0][pos] == full[0][t]
+            assert part[1][pos] == full[1][t]
 
 
 def test_shared_subset_pool_is_deterministic():
