@@ -77,30 +77,30 @@ def load_dataset(path: str, delimiter: str, header_mode: str, response_col: str)
     digest = hashlib.sha256(raw).hexdigest()
 
     try:
-        lines = raw.decode("utf-8").splitlines()
+        lines = [line for line in raw.decode("utf-8").splitlines() if line.strip() != ""]
     except UnicodeDecodeError as e:
         raise CliError(2, f"{path}: invalid UTF-8 at byte {e.start + 1}") from None
-    rows = [line.split(delimiter) for line in lines if line.strip() != ""]
-    if not rows:
+    if not lines:
         raise CliError(2, "input has no rows")
 
+    first = lines[0].split(delimiter)
     if header_mode == "yes":
         has_header = True
     elif header_mode == "no":
         has_header = False
     else:
-        has_header = not all(_is_number(c) for c in rows[0])
-    names = [c.strip() for c in rows[0]] if has_header else None
-    body = rows[1:] if has_header else rows
+        has_header = not all(_is_number(c) for c in first)
+    names = [c.strip() for c in first] if has_header else None
+    body = lines[1:] if has_header else lines
     if not body:
         raise CliError(2, "input has a header but no data rows")
 
-    width = len(rows[0])
+    width = len(first)
     if width < 2:
         raise CliError(2, "need a response column and at least one predictor")
     data = np.empty((len(body), width))
     offset = 2 if has_header else 1
-    for i, row in enumerate(body):
+    for i, row in enumerate(line.split(delimiter) for line in body):  # one row's cells at a time
         if len(row) != width:
             raise CliError(
                 2, f"row {i + offset}: expected {width} columns, found {len(row)}"
@@ -262,8 +262,8 @@ def _add_mip_opts(sp: argparse.ArgumentParser) -> None:
     sp.add_argument(
         "--threads",
         type=int,
-        default=None,
-        help="worker threads (default: MIP_THREADS or all cores); never changes results",
+        help="worker threads (default: MIP_THREADS or all cores); never changes "
+        "results; --shared-subsets sweeps run on the calling thread",
     )
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .him import him_detect
 from .mip import MipConfig, max_detect, min_multiround_detect, mip_detect
 from .robust_stats import Dataset, standardize
-from .subsample import SubsetPlan, group_statistic, point_energy
+from .subsample import SubsetPlan, point_energy
 
 log = logging.getLogger(__name__)
 
@@ -246,229 +246,115 @@ def fit_metrics(beta_hat: np.ndarray, beta_true: np.ndarray) -> tuple[float, flo
 
 
 class ConvergenceError(RuntimeError):
-    """Coordinate descent failed to converge within the sweep budget."""
+    """A lasso path failed its optimality (KKT) certificate."""
 
 
-LASSO_TOL = 1e-7
-LASSO_MAX_SWEEPS = 100_000
-# one part in 1e12 of slack absorbs roundoff in the monotonicity check
-_OBJ_SLACK = 1e-12
+_KKT_TOL = 1e-7
+_SIGMA = np.array([[1.0], [-1.0]])  # the two signs a joining variable can take
 
 
-def _objective(r: np.ndarray, beta: np.ndarray, lam: float, n: int) -> float:
-    return 0.5 * float(r @ r) / n + lam * float(np.abs(beta).sum())
+def _lasso_path(X, y, lambdas):
+    """Exact lasso solutions at a non-increasing penalty grid, by homotopy.
 
-
-def _soft(z: float, lam: float) -> float:
-    if z > lam:
-        return z - lam
-    if z < -lam:
-        return z + lam
-    return 0.0
-
-
-_ACCEL_AFTER = 4  # support sweeps at one penalty between exact-jump attempts
-_JUMP_ITERS = 50
-
-
-def _try_jump(X, y, lam, beta, r, active, obj, n):
-    """Exact stationarity solve on the current support.
-
-    Coordinate descent crawls when the support nears saturation, so once
-    the support has had a few sweeps to settle we solve the restricted
-    stationarity system directly. A solution that flips signs is walked
-    back to the first zero crossing, the crossing coordinates are dropped,
-    and the reduced system is re-solved; each such move still lowers the
-    objective. Coordinates never re-enter here, the caller's stationarity
-    screen re-admits any dropped too eagerly. The candidate is kept only
-    if it is finite and does not increase the objective; convergence is
-    still certified by the screen afterwards. Returns the new objective,
-    or None when the jump is rejected.
+    The minimizer of 0.5 n^{-1} ||y - X beta||^2 + lam ||beta||_1 is
+    piecewise linear in lam (Osborne, Presnell and Turlach 2000; Efron et
+    al. 2004). On an active set A with signs s it is beta_A = u - lam d,
+    where (X_A^T X_A) [u, d] = [X_A^T y, n s], and the correlations
+    X^T r / n = e + lam a come from the residuals of u and d. Walking down
+    from lam = inf, each piece ends where an inactive correlation reaches
+    +-lam (it joins) or an active coefficient reaches zero (it drops).
+    Only moves toward an event count (a gap closing by under 1e-9 per
+    unit of lam marks a column collinear with A), and an event overshot
+    by roundoff fires at once. Once |A| reaches rank(X), inactive
+    correlations stay a fixed fraction of lam, so joins wait for a drop.
     """
-    if active.size == 0 or active.size > n:
-        return None
-    idx = active.copy()
-    cur = beta[idx].copy()
-    s = np.sign(cur)
-    for _ in range(_JUMP_ITERS):
-        XA = X[:, idx]
-        try:
-            b = np.linalg.solve(XA.T @ XA, XA.T @ y - n * lam * s)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.isfinite(b).all():
-            return None
-        flipped = b * s <= 0.0
-        if not flipped.any():
-            cur = b
-            break
+    n, p = X.shape
+    out = np.zeros((len(lambdas), p))
+    active: list[int] = []
+    s = u = d = np.zeros(0)
+    rank = np.linalg.matrix_rank(X)
+    g = 0  # next grid penalty to read off
+    for _ in range(8 * (n + p)):  # a healthy path takes about min(n, p) steps
+        XA = X[:, active]
+        if active:
+            try:
+                u, d = np.linalg.solve(XA.T @ XA, np.column_stack((XA.T @ y, n * s))).T
+            except np.linalg.LinAlgError as exc:
+                raise ConvergenceError("singular active set on the lasso path") from exc
+        e, a = np.vstack((y - XA @ u, XA @ d)) @ X / n
+        den = 1.0 - _SIGMA * a
         with np.errstate(divide="ignore", invalid="ignore"):
-            t_cross = cur / (cur - b)
-        t = float(t_cross[flipped].min())
-        if not 0.0 <= t <= 1.0:
-            return None
-        cur = cur + t * (b - cur)
-        keep = ~(flipped & (t_cross <= t + 1e-15))
-        if not keep.any():
-            return None
-        idx, cur, s = idx[keep], cur[keep], s[keep]
-    else:
-        return None
-    r_new = y - X[:, idx] @ cur
-    obj_new = 0.5 * float(r_new @ r_new) / n + lam * float(np.abs(cur).sum())
-    if obj_new > obj + _OBJ_SLACK * max(1.0, abs(obj)):
-        return None
-    beta[active] = 0.0
-    beta[idx] = cur
-    r[:] = r_new
-    return obj_new
+            drop = np.where(s * d < 0, u / d, -math.inf)
+            join = np.where(den > 1e-9, _SIGMA * e / den, -math.inf)
+        join[:, active if len(active) < rank else slice(None)] = -math.inf
+        cand = np.concatenate((drop, join.ravel()))
+        k = int(np.argmax(cand))
+        nxt = max(float(cand[k]), 0.0)
+        while g < len(lambdas) and lambdas[g] >= nxt:
+            beta = u - lambdas[g] * d
+            # a coefficient is zero or carries its sign; the rest is roundoff
+            out[g, active] = np.where(beta * s > 0, beta, 0.0)
+            g += 1
+        if g == len(lambdas):
+            return out
+        if k < len(active):
+            del active[k]
+            s = np.delete(s, k)
+        else:
+            row, j = divmod(k - len(active), p)
+            active.append(j)
+            s = np.append(s, _SIGMA[row])
+    raise ConvergenceError("lasso path did not reach the end of the grid")
 
 
-def _cd_single(X, y, lam, beta, r, col_sq, trace=None):
-    """Coordinate descent at one penalty, warm-started; returns sweep count.
+def _certified_path(X, y, lambdas):
+    """_lasso_path, with the KKT conditions checked at every point.
 
-    ``r`` is maintained as y - X beta and updated in place along with
-    ``beta``. Convergence is checked with a vectorized stationarity pass:
-    the solve is done once no single-coordinate move from the current
-    point reaches LASSO_TOL. Until then, sweeps run over the coordinates
-    that still want to move, alternating with passes over the current
-    support; long support runs periodically attempt the exact jump of
-    _try_jump. The objective must not increase across sweeps; a violation
-    beyond roundoff slack aborts. The sweep budget is per penalty.
+    The correlations c = X^T r / n must have |c_j| <= lam off the support
+    and c_j = lam sign(beta_j) on it.
     """
-    n, p = X.shape
-    obj = _objective(r, beta, lam, n)
-    if trace is not None:
-        trace.append(obj)
-
-    def sweep(index_set) -> float:
-        nonlocal obj, r
-        max_delta = 0.0
-        for j in index_set:
-            cj = col_sq[j]
-            if cj <= 0.0:
-                continue
-            bj = beta[j]
-            zj = (X[:, j] @ r) / n + cj * bj
-            bn = _soft(zj, lam) / cj
-            d = bn - bj
-            if d != 0.0:
-                r -= d * X[:, j]
-                beta[j] = bn
-                if abs(d) > max_delta:
-                    max_delta = abs(d)
-        new_obj = _objective(r, beta, lam, n)
-        if new_obj > obj + _OBJ_SLACK * max(1.0, abs(obj)):
-            raise ConvergenceError("objective increased across a sweep")
-        obj = new_obj
-        if trace is not None:
-            trace.append(obj)
-        return max_delta
-
-    def proposals() -> np.ndarray:
-        # single-coordinate moves available from the current point
-        z = (X.T @ r) / n + col_sq * beta
-        shrunk = np.sign(z) * np.maximum(np.abs(z) - lam, 0.0)
-        safe = np.where(col_sq > 0.0, col_sq, 1.0)
-        return np.where(col_sq > 0.0, shrunk / safe - beta, 0.0)
-
-    def spend() -> None:
-        nonlocal sweeps
-        sweeps += 1
-        if sweeps > LASSO_MAX_SWEEPS:
-            raise ConvergenceError("sweep budget exhausted")
-
-    sweeps = 0
-    while True:
-        eligible = np.flatnonzero(np.abs(proposals()) >= LASSO_TOL)
-        if eligible.size == 0:
-            return sweeps
-        delta = sweep(eligible)
-        spend()
-        inner = 0
-        while delta >= LASSO_TOL:
-            active = np.flatnonzero(beta)
-            if active.size == 0:
-                break
-            inner += 1
-            if inner == 1 or inner % _ACCEL_AFTER == 0:
-                jumped = _try_jump(X, y, lam, beta, r, active, obj, n)
-                if jumped is not None:
-                    obj = jumped
-                    if trace is not None:
-                        trace.append(obj)
-                    spend()
-            delta = sweep(active)
-            spend()
-
-
-def _lasso_path(X, y, lambdas, traces=None):
-    """Solutions along a descending penalty grid, warm-started.
-
-    ``traces`` collects one objective-per-sweep list per penalty when a
-    list is supplied.
-    """
-    n, p = X.shape
-    col_sq = np.einsum("ij,ij->j", X, X) / n
-    beta = np.zeros(p)
-    r = y.astype(np.float64).copy()
-    out = np.empty((len(lambdas), p))
-    for i, lam in enumerate(lambdas):
-        r[:] = y - X @ beta  # shed drift from incremental updates
-        trace = [] if traces is not None else None
-        _cd_single(X, y, lam, beta, r, col_sq, trace)
-        if traces is not None:
-            traces.append(trace)
-        out[i] = beta
-    return out
+    path = _lasso_path(X, y, lambdas)
+    corr = (y - path @ X.T) @ X / X.shape[0]
+    lam = np.asarray(lambdas)[:, None]
+    gap = np.where(path != 0, np.abs(corr - lam * np.sign(path)), np.abs(corr) - lam)
+    worst = float(gap.max(initial=0.0))
+    if not worst <= _KKT_TOL:
+        raise ConvergenceError(f"lasso path violates KKT by {worst:.3g}")
+    return path
 
 
 def default_lambda_grid(X: np.ndarray, y: np.ndarray, count: int = 50) -> np.ndarray:
     """50 log-spaced penalties from lambda_max down to lambda_max / 1000."""
-    n = X.shape[0]
-    lam_max = float(np.abs(X.T @ y).max()) / n
-    if lam_max <= 0:
-        lam_max = 1.0
+    lam_max = float(np.abs(X.T @ y).max()) / X.shape[0] or 1.0  # 1.0 when X^T y = 0
     return np.geomspace(lam_max, 1e-3 * lam_max, count)
 
 
 def lasso_fit(d: Dataset, lambdas=None, n_folds: int = 5):
     """Lasso solution with the penalty chosen by cross-validation.
 
-    Minimizes 0.5 n^{-1} ||y - X beta||^2 + lambda ||beta||_1 by cyclic
-    coordinate descent with soft-thresholding. With an explicit
-    single-penalty ``lambdas`` the CV step is skipped. Folds are the
-    deterministic interleaving i mod n_folds.
+    Minimizes 0.5 n^{-1} ||y - X beta||^2 + lambda ||beta||_1 exactly by
+    following its piecewise-linear path down from lambda_max (the
+    homotopy of _lasso_path). With an explicit single-penalty ``lambdas``
+    the CV step is skipped. Folds are the deterministic interleaving
+    i mod n_folds. Every path point used must pass the KKT conditions to
+    1e-7, or ConvergenceError is raised.
 
     Returns (beta_hat, support).
     """
     X, y = d.X, d.y
-    XF = np.asfortranarray(X)
-    grid = (
-        np.asarray(lambdas, dtype=np.float64)
-        if lambdas is not None
-        else default_lambda_grid(X, y)
-    )
-    if grid.ndim == 0:
-        grid = grid[None]
-    if (np.diff(grid) > 0).any():
-        raise ValueError("penalty grid must be non-increasing")
-
+    grid = default_lambda_grid(X, y) if lambdas is None else np.atleast_1d(
+        np.asarray(lambdas, dtype=np.float64))
+    if (np.diff(grid) > 0).any() or (grid < 0).any():
+        raise ValueError("penalty grid must be non-negative and non-increasing")
+    cv_mse = np.zeros(grid.size)
     if grid.size > 1:
-        n = X.shape[0]
-        fold_id = np.arange(n) % n_folds
-        cv_mse = np.zeros(grid.size)
+        fold_id = np.arange(X.shape[0]) % n_folds
         for f in range(n_folds):
             tr = fold_id != f
-            te = ~tr
-            path = _lasso_path(np.asfortranarray(X[tr]), y[tr], grid)
-            pred = path @ X[te].T
-            cv_mse += ((pred - y[te]) ** 2).mean(axis=1)
-        best = int(np.argmin(cv_mse))  # ties: largest penalty wins
-        # warm-start down the grid; the endpoint solution is the same
-        beta = _lasso_path(XF, y, grid[: best + 1])[-1]
-    else:
-        beta = _lasso_path(XF, y, np.asarray([float(grid[0])]))[0]
+            path = _certified_path(X[tr], y[tr], grid)
+            cv_mse += ((path @ X[~tr].T - y[~tr]) ** 2).mean(axis=1)
+    best = int(np.argmin(cv_mse))  # ties: largest penalty wins
+    beta = _certified_path(X, y, grid[best : best + 1])[0]
     return beta, np.flatnonzero(beta)
 
 

@@ -219,8 +219,9 @@ def test_acceptance_09_property_suites():
     """Numerical workhorses hold against independent oracles.
 
     Covers Benjamini-Hochberg against a brute-force step-up, the
-    chi-square(1) tail against quadrature, per-sweep monotonicity of the
-    lasso objective, and the subset-decomposition envelope bound
+    chi-square(1) tail against quadrature, the KKT optimality conditions
+    of the lasso path at every grid penalty, and the subset-decomposition
+    envelope bound
     F_min <= F_max <= R_inf^2 * max point energy on labeled data.
     """
     # BH versus brute force on 500 mixed vectors (ties, tiny values, empty-ish)
@@ -263,17 +264,18 @@ def test_acceptance_09_property_suites():
     for x, want in zip(grid, oracle):
         assert abs(chi2_1_sf(float(x)) - want) <= 1e-9
 
-    # lasso objective can only go down within a sweep, on every penalty
+    # lasso KKT certificate at every penalty: with c = X^T r / n,
+    # |c_j| <= lambda off the support and c_j = lambda sign(beta_j) on it
     d = gen_scenario(
         ScenarioSpec(kind=ScenarioKind.EXAMPLE2, mu=5.0, n=40, p=60, n_inf=5, seed=2)
     ).data
     lambdas = default_lambda_grid(d.X, d.y, count=8)
-    traces: list = []
-    _lasso_path(np.asfortranarray(d.X), d.y, lambdas, traces=traces)
-    assert len(traces) == 8
-    for trace in traces:
-        vals = np.asarray(trace)
-        assert np.all(np.diff(vals) <= 1e-10 * np.maximum(1.0, np.abs(vals[:-1])))
+    path = _lasso_path(d.X, d.y, lambdas)
+    assert path.shape == (8, 60)
+    corr = (d.y - path @ d.X.T) @ d.X / d.n
+    lam = lambdas[:, None]
+    on_support = np.abs(corr - lam * np.sign(path))
+    assert np.all(np.where(path != 0, on_support, np.abs(corr) - lam) <= 1e-7)
 
     # decomposition envelope: the joint pull of influential subset members
     # never exceeds what their count and strongest row allow

@@ -295,29 +295,110 @@ def test_lasso_orthonormal_soft_threshold():
     assert np.max(np.abs(beta - oracle)) <= 1e-6
 
 
-def test_lasso_objective_never_increases():
+def kkt_gap(X, y, path, lambdas):
+    """Largest lasso KKT violation over a path, one row per penalty.
+
+    With c = X^T r / n: |c_j| <= lam off the support, c_j = lam sign(beta_j)
+    on it.
+    """
+    corr = (y - path @ X.T) @ X / X.shape[0]
+    lam = np.asarray(lambdas)[:, None]
+    gap = np.where(path != 0, np.abs(corr - lam * np.sign(path)), np.abs(corr) - lam)
+    return float(gap.max())
+
+
+def test_lasso_path_meets_kkt_at_every_grid_point():
     spec = ScenarioSpec(kind=ScenarioKind.EXAMPLE2, mu=6.0, n=50, p=80, n_inf=6, seed=0)
     d = gen_scenario(spec).data
     grid = default_lambda_grid(d.X, d.y, count=10)
-    traces: list = []
-    _lasso_path(np.asfortranarray(d.X), d.y, grid, traces=traces)
-    assert len(traces) == 10
-    for trace in traces:
-        diffs = np.diff(np.asarray(trace))
-        assert np.all(diffs <= 1e-10 * np.maximum(1.0, np.abs(np.asarray(trace)[:-1])))
+    path = _lasso_path(d.X, d.y, grid)
+    assert path.shape == (10, 80)
+    assert np.all(path[0] == 0.0)
+    assert np.count_nonzero(path[-1]) > 0
+    assert kkt_gap(d.X, d.y, path, grid) <= 1e-7
+
+
+def test_lasso_path_meets_kkt_on_random_designs():
+    # many small paths: roundoff puts lambda_max's last bit on either side
+    # of the first join, which the path must absorb without a wrong sign
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n, p = int(rng.integers(8, 40)), int(rng.integers(5, 80))
+        X = rng.standard_normal((n, p))
+        y = X[:, :3] @ np.array([1.0, -0.5, 0.25]) + rng.standard_normal(n)
+        grid = default_lambda_grid(X, y)
+        assert kkt_gap(X, y, _lasso_path(X, y, grid), grid) <= 1e-7
+
+
+def test_lasso_path_stays_exact_once_the_support_fills_the_rows():
+    spec = ScenarioSpec(kind=ScenarioKind.EXAMPLE2, mu=6.0, n=30, p=90, n_inf=4, seed=2)
+    d = gen_scenario(spec).data
+    grid = default_lambda_grid(d.X, d.y)
+    path = _lasso_path(d.X, d.y, grid)
+    support = np.count_nonzero(path, axis=1)
+    assert support.max() == d.n
+    assert np.argmax(support == d.n) < grid.size - 1  # saturated before the grid ends
+    assert kkt_gap(d.X, d.y, path, grid) <= 1e-7
+
+
+@pytest.mark.parametrize("twin", ["row", "column"])
+def test_lasso_path_stays_exact_with_a_duplicated_row_or_column(twin):
+    # a repeated row caps the support at rank(X) = n - 1; a negated twin of
+    # the leading column keeps an equal |correlation| and must never join
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((12, 30))
+    if twin == "row":
+        X[1] = X[0]
+    else:
+        X[:, 1] = -X[:, 0]
+    for _ in range(10):
+        y = X[:, 0] + rng.standard_normal(12)
+        grid = np.append(default_lambda_grid(X, y), 0.0)  # down to the lambda -> 0 limit
+        path = _lasso_path(X, y, grid)
+        assert kkt_gap(X, y, path, grid) <= 1e-7
+
+
+def test_lasso_with_uncorrelated_response_is_zero_everywhere(monkeypatch):
+    # y lives on rows where X is zero, so X^T y = 0 exactly and lambda_max = 0
+    rng = np.random.default_rng(3)
+    X = np.zeros((12, 5))
+    X[6:] = rng.standard_normal((6, 5))
+    y = np.zeros(12)
+    y[:6] = rng.standard_normal(6)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("no active set should ever be solved")
+
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    grid = default_lambda_grid(X, y)
+    assert np.all(_lasso_path(X, y, grid) == 0.0)
+    beta, support = lasso_fit(Dataset(y=y, X=X))
+    assert np.all(beta == 0.0)
+    assert support.size == 0
 
 
 def test_lasso_rejects_increasing_grid():
     d = lasso_toy()
     with pytest.raises(ValueError):
         lasso_fit(d, lambdas=[0.1, 0.2])
+    with pytest.raises(ValueError):
+        lasso_fit(d, lambdas=[0.1, -0.1])
 
 
-def test_lasso_sweep_budget_is_enforced(monkeypatch):
-    monkeypatch.setattr(simbench, "LASSO_MAX_SWEEPS", 0)
+def test_lasso_fit_rejects_a_path_that_fails_kkt(monkeypatch):
+    exact = simbench._lasso_path
+
+    def nudged(X, y, lambdas):
+        path = exact(X, y, lambdas)
+        path[-1, 0] += 1e-3
+        return path
+
+    monkeypatch.setattr(simbench, "_lasso_path", nudged)
     d = lasso_toy()
     with pytest.raises(ConvergenceError):
         lasso_fit(d, lambdas=[0.01])
+    with pytest.raises(ConvergenceError):
+        lasso_fit(d)
 
 
 def test_lasso_cv_is_deterministic():
