@@ -24,9 +24,10 @@ from .chi2_fdr import bh_select, chi2_1_sf_vec, log10_pvalues
 from .him import him_detect
 from .mip import (
     DetectionReport,
-    MinStepMode,
     MipConfig,
     checking_statistics_all,
+    checking_step,
+    min_max_clean_set,
     min_multiround_detect,
     mip_detect,
 )
@@ -39,7 +40,7 @@ from .simbench import (
     run_experiment,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class CliError(Exception):
@@ -65,9 +66,11 @@ def _is_number(cell: str) -> bool:
 def load_dataset(path: str, delimiter: str, header_mode: str, response_col: str):
     """Parse a rectangular numeric CSV into a Dataset.
 
-    Returns (dataset, sha256-of-input-bytes). Parse problems raise
-    CliError(2) with row/column positions (1-based, header included), or
-    the 1-based byte offset of the first byte that is not valid UTF-8.
+    Returns (dataset, sha256-of-input-bytes, zero-based CSV column of the
+    response). A leading UTF-8 byte-order mark is skipped. Parse problems
+    raise CliError(2) with row/column positions (1-based, header
+    included), or the 1-based byte offset of the first byte that is not
+    valid UTF-8.
     """
     try:
         with open(path, "rb") as fh:
@@ -77,7 +80,11 @@ def load_dataset(path: str, delimiter: str, header_mode: str, response_col: str)
     digest = hashlib.sha256(raw).hexdigest()
 
     try:
-        lines = [line for line in raw.decode("utf-8").splitlines() if line.strip() != ""]
+        lines = [
+            line
+            for line in raw.decode("utf-8").removeprefix("\ufeff").splitlines()
+            if line.strip() != ""
+        ]
     except UnicodeDecodeError as e:
         raise CliError(2, f"{path}: invalid UTF-8 at byte {e.start + 1}") from None
     if not lines:
@@ -97,7 +104,8 @@ def load_dataset(path: str, delimiter: str, header_mode: str, response_col: str)
 
     width = len(first)
     if width < 2:
-        raise CliError(2, "need a response column and at least one predictor")
+        raise CliError(2, "need a response column and at least one predictor; "
+                          f"the first row has one column when split on {delimiter!r}")
     data = np.empty((len(body), width))
     offset = 2 if has_header else 1
     for i, row in enumerate(line.split(delimiter) for line in body):  # one row's cells at a time
@@ -130,7 +138,7 @@ def load_dataset(path: str, delimiter: str, header_mode: str, response_col: str)
     y = data[:, rcol]
     X = np.delete(data, rcol, axis=1)
     try:
-        return Dataset(y=y, X=X), digest
+        return Dataset(y=y, X=X), digest, rcol
     except ValueError as e:
         raise CliError(2, str(e)) from e
 
@@ -195,6 +203,12 @@ def _report_json(report: DetectionReport, digest: str) -> str:
         if report.clean_set is None
         else [int(i) + 1 for i in report.clean_set],
         "rounds_used": report.rounds_used,
+        "removed": None
+        if report.removed is None
+        else [
+            {"round": rd, "step": step, "indices": [int(i) + 1 for i in idx]}
+            for rd, step, idx in report.removed
+        ],
         "hit_iteration_cap": report.hit_iteration_cap,
         "observations": obs,
     }
@@ -247,7 +261,9 @@ def _add_csv_opts(sp: argparse.ArgumentParser) -> None:
 
 def _add_mip_opts(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--m", type=int, default=100, help="subsets per target (default 100)")
-    sp.add_argument("--ksub", type=float, default=0.5, help="subset fraction (default 0.5)")
+    sp.add_argument(
+        "--ksub", dest="k_sub", type=float, default=0.5, help="subset fraction (default 0.5)"
+    )
     sp.add_argument("--alpha", type=float, default=0.05, help="per-round Min/Max level")
     sp.add_argument("--alpha0", type=float, default=0.05, help="FDR level of the checking step")
     sp.add_argument("--c", type=float, default=0.5, help="clean-set fraction threshold")
@@ -255,10 +271,7 @@ def _add_mip_opts(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--max-rounds", type=int, default=20)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--estimator", choices=("robust", "sample"), default="robust")
-    sp.add_argument("--min-step", choices=("bh", "topk"), default="bh")
     sp.add_argument("--shared-subsets", action="store_true")
-    sp.add_argument("--restandardize-clean", action="store_true")
-    sp.add_argument("--fixed-n-sub", action="store_true")
     sp.add_argument(
         "--threads",
         type=int,
@@ -288,7 +301,7 @@ def _config(args) -> MipConfig:
     try:
         return MipConfig(
             m=args.m,
-            k_sub=args.ksub,
+            k_sub=args.k_sub,
             alpha=args.alpha,
             alpha0=args.alpha0,
             c=args.c,
@@ -296,14 +309,22 @@ def _config(args) -> MipConfig:
             max_rounds=args.max_rounds,
             seed=args.seed,
             estimator=EstimatorMode(args.estimator),
-            min_step_mode=MinStepMode(args.min_step),
             shared_subsets=args.shared_subsets,
-            restandardize_clean=args.restandardize_clean,
-            fixed_n_sub=args.fixed_n_sub,
             threads=_resolve_threads(args),
         )
     except ValueError as e:
         raise CliError(2, str(e)) from e
+
+
+def _column_error(e: DegenerateColumnError, rcol: int) -> CliError:
+    """Exit 3, naming the zero-scale column by its 1-based CSV position."""
+    if e.column is None:
+        what, col = "response", rcol
+    else:
+        what, col = "predictor", e.column + (e.column >= rcol)
+    return CliError(
+        3, f"zero scale estimate for {what} in CSV column {col + 1}; cannot standardize"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -312,26 +333,26 @@ def _config(args) -> MipConfig:
 
 
 def cmd_detect(args) -> int:
-    d, digest = load_dataset(args.input, args.delimiter, args.header, args.response_col)
+    d, digest, rcol = load_dataset(args.input, args.delimiter, args.header, args.response_col)
     cfg = _config(args)
     t0 = time.perf_counter()
     try:
         report = mip_detect(d, cfg)
     except DegenerateColumnError as e:
-        raise CliError(3, str(e)) from e
+        raise _column_error(e, rcol) from e
     write_detect_outputs(report, digest, args.report, args.flags)
     print(f"detect: {time.perf_counter() - t0:.2f}s wall", file=sys.stderr)
     return 0
 
 
 def cmd_him(args) -> int:
-    d, digest = load_dataset(args.input, args.delimiter, args.header, args.response_col)
+    d, digest, rcol = load_dataset(args.input, args.delimiter, args.header, args.response_col)
     cfg = _config(args)
     t0 = time.perf_counter()
     try:
         Z = standardize(d, cfg.estimator)
     except DegenerateColumnError as e:
-        raise CliError(3, str(e)) from e
+        raise _column_error(e, rcol) from e
     report = him_detect(Z, cfg.alpha0)
     report.config = dict(report.config, seed=cfg.seed)
     write_him_outputs(report, digest, args.report, args.flags)
@@ -340,29 +361,21 @@ def cmd_him(args) -> int:
 
 
 def cmd_plot_data(args) -> int:
-    d, digest = load_dataset(args.input, args.delimiter, args.header, args.response_col)
+    d, _, rcol = load_dataset(args.input, args.delimiter, args.header, args.response_col)
     cfg = _config(args)
     t0 = time.perf_counter()
     try:
         Z = standardize(d, cfg.estimator)
-        mip_report = mip_detect(d, cfg)
     except DegenerateColumnError as e:
-        raise CliError(3, str(e)) from e
+        raise _column_error(e, rcol) from e
+    cs = min_max_clean_set(Z, cfg)
+    mip_report = checking_step(Z, cs.clean, cfg.alpha0)
 
-    t_min = np.array([r.t_min for r in mip_report.records])
-    t_max = np.array([r.t_max for r in mip_report.records])
-    p_min = chi2_1_sf_vec(t_min)
-    p_max = chi2_1_sf_vec(t_max)
+    p_min = chi2_1_sf_vec(cs.first_t_min)
+    p_max = chi2_1_sf_vec(cs.first_t_max)
     max_hits = set(bh_select(p_max, cfg.alpha0).rejected.tolist())
     min_hits = set(min_multiround_detect(Z, cfg).flagged().tolist())
-
-    clean = mip_report.clean_set
-    Zc = (
-        standardize(d, cfg.estimator, estimate_rows=clean)
-        if cfg.restandardize_clean
-        else Z
-    )
-    p_check = chi2_1_sf_vec(checking_statistics_all(Zc, clean))
+    p_check = chi2_1_sf_vec(checking_statistics_all(Z, cs.clean))
 
     lp_max = log10_pvalues(p_max)
     lp_min = log10_pvalues(p_min)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -23,11 +22,6 @@ from .subsample import min_max_sweep, subset_size
 
 class DegenerateShrinkageError(RuntimeError):
     """The working set shrank too far to keep subsampling."""
-
-
-class MinStepMode(Enum):
-    BH = "bh"
-    TOP_L0 = "topk"
 
 
 @dataclass(frozen=True)
@@ -49,10 +43,7 @@ class MipConfig:
     max_rounds: int = 20
     seed: int = 0
     estimator: EstimatorMode = EstimatorMode.ROBUST
-    min_step_mode: MinStepMode = MinStepMode.BH
     shared_subsets: bool = False
-    restandardize_clean: bool = False
-    fixed_n_sub: bool = False
     threads: int | None = None
 
     def __post_init__(self):
@@ -86,10 +77,7 @@ class MipConfig:
             "max_rounds": self.max_rounds,
             "seed": self.seed,
             "estimator": self.estimator.value,
-            "min_step_mode": self.min_step_mode.value,
             "shared_subsets": self.shared_subsets,
-            "restandardize_clean": self.restandardize_clean,
-            "fixed_n_sub": self.fixed_n_sub,
         }
 
 
@@ -121,6 +109,7 @@ class DetectionReport:
     clean_set: np.ndarray | None = None
     rounds_used: int | None = None
     hit_iteration_cap: bool = False
+    removed: list | None = None  # the clean-set trail, for mip only
     timings: dict = field(default_factory=dict)  # in-memory diagnostics only
 
     @property
@@ -162,12 +151,12 @@ def _workable(n_active: int, n_sub: int) -> None:
 def min_max_clean_set(Z: InfluenceMatrix, cfg: MipConfig) -> CleanSetResult:
     """Alternate Min and Max steps until a large enough clean set remains.
 
-    Each round: T_min over the working set, BH at cfg.alpha (or the l0
-    smallest p-values in TOP_L0 mode) decides removals; then T_max over
-    the survivors and BH picks a tentative rejection set. If removing it
-    would keep at least c*n of the ORIGINAL sample, that remainder is the
-    clean set. A BH Min-Step that selects nothing while the stop test
-    fails falls back to removing the l0 smallest p-values.
+    Each round: T_min over the working set, BH at cfg.alpha decides
+    removals; then T_max over the survivors and BH picks a tentative
+    rejection set. If removing it would keep at least c*n of the ORIGINAL
+    sample, that remainder is the clean set. A Min-Step that selects
+    nothing while the stop test fails falls back to removing the l0
+    smallest p-values.
     """
     n = Z.n
     S = np.arange(n, dtype=np.int64)
@@ -177,14 +166,11 @@ def min_max_clean_set(Z: InfluenceMatrix, cfg: MipConfig) -> CleanSetResult:
     l0 = cfg.resolve_l0(n)
     # tiny slack so c*n (inexact for some c) compares as intended
     stop_at = cfg.c * n - 1e-9
-    frozen_n_sub: int | None = None
 
     for round_no in range(1, cfg.max_rounds + 1):
-        n_sub = frozen_n_sub or subset_size(S.size, cfg.k_sub)
-        if cfg.fixed_n_sub and frozen_n_sub is None:
-            frozen_n_sub = n_sub
+        n_sub = subset_size(S.size, cfg.k_sub)
         _workable(S.size, n_sub)
-        t_min, t_max, _ = min_max_sweep(
+        t_min, t_max = min_max_sweep(
             Z, S, cfg.m, n_sub, cfg.seed, sweep_no,
             threads=cfg.threads, shared=cfg.shared_subsets,
         )
@@ -192,20 +178,15 @@ def min_max_clean_set(Z: InfluenceMatrix, cfg: MipConfig) -> CleanSetResult:
         if first_t_min is None:
             first_t_min, first_t_max = t_min, t_max
         p_min = chi2_1_sf_vec(t_min)
-
-        if cfg.min_step_mode is MinStepMode.TOP_L0:
-            take = min(l0, S.size - 1)
-            hits = np.sort(np.argsort(p_min, kind="stable")[:take])
-        else:
-            hits = np.sort(bh_select(p_min, cfg.alpha).rejected)
+        hits = np.sort(bh_select(p_min, cfg.alpha).rejected)
         min_step_empty = hits.size == 0
 
         if hits.size:
             removed.append((round_no, "min", S[hits].copy()))
             S = np.delete(S, hits)
-            n_sub2 = frozen_n_sub or subset_size(S.size, cfg.k_sub)
+            n_sub2 = subset_size(S.size, cfg.k_sub)
             _workable(S.size, n_sub2)
-            _, t_max2, _ = min_max_sweep(
+            _, t_max2 = min_max_sweep(
                 Z, S, cfg.m, n_sub2, cfg.seed, sweep_no,
                 threads=cfg.threads, shared=cfg.shared_subsets,
             )
@@ -229,7 +210,7 @@ def min_max_clean_set(Z: InfluenceMatrix, cfg: MipConfig) -> CleanSetResult:
                 first_t_max=first_t_max,
             )
 
-        if cfg.min_step_mode is MinStepMode.BH and min_step_empty:
+        if min_step_empty:
             take = min(l0, S.size - 1)
             fallback = np.sort(np.argsort(p_min, kind="stable")[:take])
             removed.append((round_no, "min", S[fallback].copy()))
@@ -316,18 +297,14 @@ def mip_detect(d: Dataset, cfg: MipConfig = MipConfig()) -> DetectionReport:
     t1 = time.perf_counter()
     cs = min_max_clean_set(Z, cfg)
     t2 = time.perf_counter()
-    Zc = (
-        standardize(d, cfg.estimator, estimate_rows=cs.clean)
-        if cfg.restandardize_clean
-        else Z
-    )
-    report = checking_step(Zc, cs.clean, cfg.alpha0)
+    report = checking_step(Z, cs.clean, cfg.alpha0)
     t3 = time.perf_counter()
 
     report.method = "mip"
     report.config = cfg.echo()
     report.rounds_used = cs.rounds_used
     report.hit_iteration_cap = cs.hit_iteration_cap
+    report.removed = cs.removed
     for rec in report.records:
         rec.t_min = float(cs.first_t_min[rec.index])
         rec.t_max = float(cs.first_t_max[rec.index])
@@ -344,7 +321,7 @@ def max_detect(Z: InfluenceMatrix, cfg: MipConfig = MipConfig()) -> DetectionRep
     """Single-pass detector on T_max with BH at alpha0."""
     n_sub = subset_size(Z.n, cfg.k_sub)
     _workable(Z.n, n_sub)
-    t_min, t_max, _ = min_max_sweep(
+    t_min, t_max = min_max_sweep(
         Z, np.arange(Z.n), cfg.m, n_sub, cfg.seed, 0,
         threads=cfg.threads, shared=cfg.shared_subsets,
     )
@@ -374,16 +351,13 @@ def min_multiround_detect(Z: InfluenceMatrix, cfg: MipConfig = MipConfig()) -> D
     U = np.arange(n, dtype=np.int64)
     flagged: list[int] = []
     first_t_min = first_t_max = first_p = None
-    frozen_n_sub: int | None = None
     rounds_used = 0
     hit_cap = False
 
     for round_no in range(1, cfg.max_rounds + 1):
-        n_sub = frozen_n_sub or subset_size(U.size, cfg.k_sub)
-        if cfg.fixed_n_sub and frozen_n_sub is None:
-            frozen_n_sub = n_sub
+        n_sub = subset_size(U.size, cfg.k_sub)
         _workable(U.size, n_sub)
-        t_min, t_max, _ = min_max_sweep(
+        t_min, t_max = min_max_sweep(
             Z, U, cfg.m, n_sub, cfg.seed, round_no - 1,
             threads=cfg.threads, shared=cfg.shared_subsets,
         )

@@ -137,11 +137,7 @@ def _location_scale(v: np.ndarray, mode: EstimatorMode) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def standardize(
-    d: Dataset,
-    mode: EstimatorMode = EstimatorMode.ROBUST,
-    estimate_rows=None,
-) -> InfluenceMatrix:
+def standardize(d: Dataset, mode: EstimatorMode = EstimatorMode.ROBUST) -> InfluenceMatrix:
     """Build the influence matrix from raw data.
 
     Parameters
@@ -150,10 +146,6 @@ def standardize(
     mode : EstimatorMode
         ROBUST uses median location and 1.4826*MAD scale; SAMPLE uses the
         mean and the (n-1)-denominator standard deviation.
-    estimate_rows : index set, optional
-        When given, location and scale are estimated from these rows only
-        but the whole sample is standardized with them (used to re-anchor
-        the checking step on an estimated clean set).
 
     Returns
     -------
@@ -164,24 +156,16 @@ def standardize(
     DegenerateColumnError
         If the response or any predictor column has zero scale.
     """
-    if estimate_rows is None:
-        ys, Xs = d.y, d.X
-    else:
-        rows = np.asarray(estimate_rows, dtype=np.intp)
-        if rows.size < 2:
-            raise ValueError("need at least two rows to estimate scale")
-        ys, Xs = d.y[rows], d.X[rows]
-
-    mu_y, sigma_y = _location_scale(ys, mode)
+    mu_y, sigma_y = _location_scale(d.y, mode)
     if sigma_y <= 0.0:
         raise DegenerateColumnError(None)
 
     if mode is EstimatorMode.ROBUST:
-        mu_x = np.median(Xs, axis=0)
-        sigma_x = MAD_SCALE_FACTOR * np.median(np.abs(Xs - mu_x), axis=0)
+        mu_x = np.median(d.X, axis=0)
+        sigma_x = MAD_SCALE_FACTOR * np.median(np.abs(d.X - mu_x), axis=0)
     else:
-        mu_x = np.mean(Xs, axis=0)
-        sigma_x = np.std(Xs, axis=0, ddof=1)
+        mu_x = np.mean(d.X, axis=0)
+        sigma_x = np.std(d.X, axis=0, ddof=1)
     bad = np.flatnonzero(sigma_x <= 0.0)
     if bad.size:
         raise DegenerateColumnError(int(bad[0]))

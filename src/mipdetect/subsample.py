@@ -32,14 +32,10 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .robust_stats import InfluenceMatrix
-
-if TYPE_CHECKING:
-    from .mip import MipConfig
 
 _KEY_K_BITS = 24
 _KEY_ROUND_BITS = 20
@@ -170,19 +166,6 @@ def draw_subsets(active, k: int, m: int, n_sub: int, seed: int, round_id: int = 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MinMaxStats:
-    """Extremes of the group statistic over one plan."""
-
-    t_min: float
-    t_max: float
-    per_subset: np.ndarray | None = None
-
-    def __post_init__(self):
-        if not (0.0 <= self.t_min <= self.t_max):
-            raise ValueError("need 0 <= t_min <= t_max")
-
-
 def group_statistic(Z: InfluenceMatrix, A_r, k: int, n_sub: int) -> float:
     """Group-deletion statistic n_sub^2 * D_{r,k} for one subset.
 
@@ -201,37 +184,6 @@ def group_statistic(Z: InfluenceMatrix, A_r, k: int, n_sub: int) -> float:
         raise ValueError("target index out of range")
     diff = Z.Z[idx].sum(axis=0) / (n_sub - 1) - Z.Z[k]
     return float(np.mean(diff * diff))
-
-
-def point_energy(Z: InfluenceMatrix, k: int) -> float:
-    """Standalone signal of observation k: p^{-1} || Z_k ||^2."""
-    if not (0 <= k < Z.n):
-        raise ValueError("target index out of range")
-    row = Z.Z[k]
-    return float(np.mean(row * row))
-
-
-def min_max_statistics(
-    Z: InfluenceMatrix,
-    active,
-    k: int,
-    cfg: "MipConfig",
-    round_id: int = 0,
-    keep_per_subset: bool = False,
-) -> MinMaxStats:
-    """T_min and T_max for one target over the active set, per the config."""
-    av = np.unique(np.asarray(active, dtype=np.int64))
-    n_sub = subset_size(av.size, cfg.k_sub)
-    t_min, t_max, per = min_max_sweep(
-        Z, av, cfg.m, n_sub, cfg.seed, round_id,
-        targets=np.asarray([k], dtype=np.int64),
-        keep_per_subset=keep_per_subset,
-    )
-    return MinMaxStats(
-        t_min=float(t_min[0]),
-        t_max=float(t_max[0]),
-        per_subset=per[0] if per is not None else None,
-    )
 
 
 def _chunk_targets(m: int, p: int) -> int:
@@ -274,12 +226,11 @@ def min_max_sweep(
     targets=None,
     threads: int | None = None,
     shared: bool = False,
-    keep_per_subset: bool = False,
 ):
     """T_min and T_max for every target in one pass over a working set.
 
-    Returns (t_min, t_max, per_subset) aligned with the sorted active set
-    (or with ``targets`` when given); per_subset is None unless requested.
+    Returns (t_min, t_max) aligned with the sorted active set (or with
+    ``targets`` when given).
     Output is a pure function of the arguments: thread count and chunking
     never change a bit. Private sweeps run in blocks of targets, on
     ``threads`` workers; shared sweeps serve one target at a time.
@@ -301,14 +252,11 @@ def min_max_sweep(
     nt = positions.size
     t_min = np.empty(nt)
     t_max = np.empty(nt)
-    per = np.empty((nt, m)) if keep_per_subset else None
 
     def emit(lo, hi, sums):
         stats = _group_stats(sums, Zu[positions[lo:hi]], s)
         t_min[lo:hi] = stats.min(axis=1)
         t_max[lo:hi] = stats.max(axis=1)
-        if per is not None:
-            per[lo:hi] = stats
 
     def private_block(lo, hi):
         emit(lo, hi, _private_sums(Zu, av, positions[lo:hi], m, s, seed, round_id))
@@ -323,7 +271,7 @@ def min_max_sweep(
                 emit(j, j + 1, pooled[usable[:m]])
             else:
                 private_block(j, j + 1)
-        return t_min, t_max, per
+        return t_min, t_max
 
     chunk = _chunk_targets(m, Zu.shape[1])
     blocks = [(lo, min(lo + chunk, nt)) for lo in range(0, nt, chunk)]
@@ -333,4 +281,4 @@ def min_max_sweep(
     else:
         for b in blocks:
             private_block(*b)
-    return t_min, t_max, per
+    return t_min, t_max

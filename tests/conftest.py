@@ -114,7 +114,7 @@ def null_bundle():
         Z = standardize(labeled.data, EstimatorMode.ROBUST)
         cfg = MipConfig(m=100, seed=rep)
         n_sub = subset_size(Z.n, cfg.k_sub)
-        t_min, t_max, _ = min_max_sweep(Z, np.arange(Z.n), cfg.m, n_sub, cfg.seed, 0)
+        t_min, t_max = min_max_sweep(Z, np.arange(Z.n), cfg.m, n_sub, cfg.seed, 0)
         t_min_pool.append(t_min)
         t_max_pool.append(t_max)
         report = mip_detect(labeled.data, cfg)

@@ -24,8 +24,10 @@ from mipdetect import (
 )
 from mipdetect.chi2_fdr import bh_select, chi2_1_sf
 from mipdetect.cli import main as cli_main
-from mipdetect.simbench import _lasso_path, default_lambda_grid, oracle_decomposition
-from mipdetect.subsample import draw_subsets, group_statistic, point_energy, subset_size
+from mipdetect.simbench import _lasso_path, default_lambda_grid
+from mipdetect.subsample import draw_subsets, group_statistic, subset_size
+
+from ground_truth import oracle_decomposition, point_energy
 
 CHI2_95 = 3.8415  # 0.95 quantile of chi-square(1)
 

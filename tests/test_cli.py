@@ -1,6 +1,8 @@
 """Command-line interface: ingestion, output schemas, exit codes, determinism."""
 
+import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -13,8 +15,9 @@ import numpy as np
 import pytest
 
 from mipdetect import __version__
-from mipdetect.cli import _cell, main
+from mipdetect.cli import _add_mip_opts, _cell, load_dataset, main
 from mipdetect.him import him_detect
+from mipdetect.mip import MipConfig
 from mipdetect.robust_stats import Dataset, EstimatorMode, standardize
 from mipdetect.simbench import ScenarioKind, ScenarioSpec, gen_scenario
 
@@ -135,7 +138,7 @@ def test_detect_report_schema(tmp_path, small_csv):
     assert raw == json.dumps(payload, indent=2, sort_keys=True) + "\n"
     assert "NaN" not in raw
 
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     assert payload["method"] == "mip"
     assert payload["n"] == 60
     assert payload["rounds_used"] >= 1
@@ -162,6 +165,14 @@ def test_detect_report_schema(tmp_path, small_csv):
     assert flagged == set(flagged_indices(flags_path))
     # flagged rows sit outside the reported clean set
     assert flagged.isdisjoint(clean)
+
+    # the removal trail partitions the rows outside the clean set
+    trail = payload["removed"]
+    assert trail and all(set(e) == {"round", "step", "indices"} for e in trail)
+    assert all(e["step"] in ("min", "max") and e["round"] >= 1 for e in trail)
+    removed = [i for e in trail for i in e["indices"]]
+    assert len(removed) == len(set(removed))
+    assert set(removed) == set(range(1, 61)) - set(clean)
 
 
 def test_detect_flags_csv_schema(tmp_path, small_csv):
@@ -365,6 +376,8 @@ def test_unusable_inputs_exit_2(tmp_path, monkeypatch):
         (["detect", tmp_path / "missing.csv", *outs], "cannot read"),
         (["detect", write_text(tmp_path, "one.csv", "y\n1\n2\n3\n4\n"), *outs],
          "need a response column and at least one predictor"),
+        (["detect", write_text(tmp_path, "tabs.csv", "y\tx1\n1\t2\n3\t4\n5\t6\n7\t9\n"), *outs],
+         "split on ','"),
         (["detect", write_text(tmp_path, "short.csv", "y,x1\n1,2\n3,4\n5,6\n"), *outs],
          "need at least 4 observations"),
         (["detect", write_text(tmp_path, "hdr.csv", "y,x1\n"), *outs],
@@ -372,6 +385,8 @@ def test_unusable_inputs_exit_2(tmp_path, monkeypatch):
         (["detect", write_text(tmp_path, "empty.csv", "\n\n"), *outs], "no rows"),
         (["detect", write_bytes(tmp_path, "cell.csv", b"y,x1,x2\n1,2,3\n4,\xff5,6\n7,8,9\n1,2,1\n"), *outs],
          "invalid UTF-8 at byte 17"),
+        (["detect", write_bytes(tmp_path, "bomcell.csv", b"\xef\xbb\xbfy,x1,x2\n1,2,3\n4,\xff5,6\n7,8,9\n1,2,1\n"), *outs],
+         "invalid UTF-8 at byte 20"),
         (["detect", write_bytes(tmp_path, "head.csv", b"y,x\xe91,x2\n1,2,3\n4,5,6\n7,8,9\n1,2,1\n"), *outs],
          "invalid UTF-8 at byte 4"),
         (["detect", ok, "--response-col", "z", *outs], "neither a header name nor a position"),
@@ -396,14 +411,26 @@ def test_degenerate_column_exits_3(tmp_path):
     rng = np.random.default_rng(0)
     X = rng.standard_normal((20, 5))
     X[:, 2] = 7.0
-    csv = tmp_path / "degen.csv"
-    write_csv(csv, rng.standard_normal(20), X)
+    y = rng.standard_normal(20)
     outs = ["--report", tmp_path / "r.json", "--flags", tmp_path / "f.csv"]
-    code, err = run_cli(["detect", csv, "--m", 10, *outs])
+    # predictor 3 is CSV column 4 after a leading response, column 3 before a trailing one
+    for response_last, rcol, where in ((False, 1, "column 4"), (True, 6, "column 3")):
+        csv = tmp_path / f"degen-{rcol}.csv"
+        write_csv(csv, y, X, response_last=response_last)
+        for argv in (
+            ["detect", csv, "--m", 10, *outs],
+            ["him", csv, *outs],
+            ["plot-data", csv, "--m", 10, "--out", tmp_path / "p.csv"],
+        ):
+            code, err = run_cli(argv + ["--response-col", rcol])
+            assert code == 3, argv
+            assert f"predictor in CSV {where}; cannot standardize" in err, (argv, err)
+
+    csv = tmp_path / "flat-y.csv"
+    write_csv(csv, np.full(20, 2.0), X[:, :2], response_last=True)
+    code, err = run_cli(["detect", csv, "--response-col", 3, *outs])
     assert code == 3
-    assert "cannot standardize" in err
-    code, _ = run_cli(["him", csv, *outs])
-    assert code == 3
+    assert "response in CSV column 3" in err
 
 
 def test_csv_dialects_agree(tmp_path, small_csv):
@@ -419,17 +446,36 @@ def test_csv_dialects_agree(tmp_path, small_csv):
     write_csv(byname, y, X, response_last=True)
     bypos = tmp_path / "bypos.csv"
     write_csv(bypos, y, X, response_last=True)
+    # a byte-order mark before a numeric first row must not turn it into a header
+    plain = nohdr.read_bytes()
+    bom = write_bytes(tmp_path, "bom.csv", b"\xef\xbb\xbf" + plain)
+    bom_crlf = write_bytes(tmp_path, "bomcrlf.csv", b"\xef\xbb\xbf" + plain.replace(b"\n", b"\r\n"))
 
     runs = [
-        ("semi", ["detect", semi, "--delimiter", ";"]),
-        ("nohdr", ["detect", nohdr]),
-        ("byname", ["detect", byname, "--response-col", "y"]),
-        ("bypos", ["detect", bypos, "--response-col", X.shape[1] + 1]),
+        ("semi", semi, ";", "1"),
+        ("nohdr", nohdr, ",", "1"),
+        ("byname", byname, ",", "y"),
+        ("bypos", bypos, ",", str(X.shape[1] + 1)),
+        ("bom", bom, ",", "1"),
+        ("bomcrlf", bom_crlf, ",", "1"),
     ]
     flag_sets = []
-    for tag, argv in runs:
+    for tag, path, delimiter, response in runs:
+        d, _, _ = load_dataset(str(path), delimiter, "auto", response)
+        assert d.y.tobytes() == y.tobytes() and d.X.tobytes() == X.tobytes(), tag
+        argv = ["detect", path, "--delimiter", delimiter, "--response-col", response]
         code, _ = run_cli(argv + ["--m", 40, "--seed", 0] + outs(tag))
         assert code == 0
         flag_sets.append(flagged_indices(tmp_path / f"{tag}.csv"))
     assert all(f == flag_sets[0] for f in flag_sets[1:])
     assert flag_sets[0] == [1, 2, 3, 4, 5, 6]
+
+
+def test_every_mip_option_is_a_config_field_and_echoed():
+    parser = argparse.ArgumentParser()
+    _add_mip_opts(parser)
+    dests = {a.dest for a in parser._actions if a.dest != "help"}
+    fields = {f.name for f in dataclasses.fields(MipConfig)}
+    echoed = set(MipConfig().echo())
+    assert fields - {"threads"} == echoed == dests - {"threads"}
+    assert "threads" in fields and "threads" in dests

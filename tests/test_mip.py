@@ -7,7 +7,6 @@ from mipdetect import (
     Dataset,
     DegenerateShrinkageError,
     EstimatorMode,
-    MinStepMode,
     MipConfig,
     ScenarioKind,
     ScenarioSpec,
@@ -68,7 +67,7 @@ def test_config_defaults():
     assert cfg.l0 is None
     assert cfg.max_rounds == 20
     assert cfg.estimator is EstimatorMode.ROBUST
-    assert cfg.min_step_mode is MinStepMode.BH
+    assert cfg.shared_subsets is False
 
 
 def test_config_is_frozen():
@@ -114,11 +113,10 @@ def test_resolve_l0():
 def test_echo_excludes_scheduling():
     cfg = MipConfig(m=42, threads=3)
     echo = cfg.echo()
-    assert len(echo) == 13
+    assert len(echo) == 10
     assert "threads" not in echo
     assert echo["m"] == 42
     assert echo["estimator"] == "robust"
-    assert echo["min_step_mode"] == "bh"
 
 
 # ---------------------------------------------------------------------------
@@ -127,11 +125,19 @@ def test_echo_excludes_scheduling():
 
 
 def test_clean_set_raises_when_working_set_too_small():
-    rng = np.random.default_rng(10)
-    d = Dataset(y=rng.standard_normal(8), X=rng.standard_normal((8, 5)))
-    Z = standardize(d, EstimatorMode.SAMPLE)
-    cfg = MipConfig(m=8, c=1.0, min_step_mode=MinStepMode.TOP_L0, l0=2, max_rounds=10, seed=1)
-    with pytest.raises(DegenerateShrinkageError):
+    # with c = 1 the stop test fails for good once round 1's Max-Step
+    # rejects anything, so the l0 fallback strips two rows per quiet round
+    rng = np.random.default_rng(14)
+    X = rng.standard_normal((12, 6))
+    y = rng.standard_normal(12)
+    y[:2] += 30.0
+    Z = standardize(Dataset(y=y, X=X), EstimatorMode.SAMPLE)
+    cfg = MipConfig(m=8, c=1.0, l0=2, max_rounds=10, seed=1)
+    capped = min_max_clean_set(Z, dataclasses.replace(cfg, max_rounds=4))
+    assert [(rd, step, idx.size) for rd, step, idx in capped.removed] == [
+        (1, "min", 2), (2, "min", 2), (3, "min", 2),
+    ]
+    with pytest.raises(DegenerateShrinkageError, match="working set of 4"):
         min_max_clean_set(Z, cfg)
 
 
@@ -162,26 +168,10 @@ def test_empty_min_step_falls_back_to_l0_removals():
     # replaying round 2 shows BH selected nothing there, so the recorded
     # removal can only be the fallback, and it took the smallest p-value
     S = np.arange(1, 30, dtype=np.int64)
-    t_min, _, _ = min_max_sweep(Z, S, 20, subset_size(S.size, 0.5), 2, 2)
+    t_min, _ = min_max_sweep(Z, S, 20, subset_size(S.size, 0.5), 2, 2)
     p_min = chi2_1_sf_vec(t_min)
     assert bh_select(p_min, 0.05).rejected.size == 0
     assert S[int(np.argmin(p_min))] == 27
-
-
-def test_top_l0_mode_removes_every_round():
-    rng = np.random.default_rng(11)
-    X = rng.standard_normal((30, 12))
-    y = rng.standard_normal(30)
-    y[0] += 50.0
-    Z = standardize(Dataset(y=y, X=X), EstimatorMode.SAMPLE)
-    cfg = MipConfig(
-        m=20, c=1.0, l0=1, max_rounds=4, seed=2, min_step_mode=MinStepMode.TOP_L0
-    )
-    cs = min_max_clean_set(Z, cfg)
-    min_rounds = [rd for rd, step, _ in cs.removed if step == "min"]
-    assert min_rounds == [1, 2, 3, 4]
-    assert all(idx.size == 1 for _, step, idx in cs.removed if step == "min")
-    assert_partition(cs, 30)
 
 
 def test_clean_set_partition_and_threshold():
@@ -356,18 +346,9 @@ def test_pipeline_deterministic_across_runs_and_threads():
             assert repr(a.t_max) == repr(b.t_max)
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"min_step_mode": MinStepMode.TOP_L0},
-        {"restandardize_clean": True},
-        {"shared_subsets": True},
-        {"fixed_n_sub": True},
-    ],
-)
-def test_pipeline_variants_recover_planted_rows(kwargs):
+def test_shared_subsets_recover_planted_rows():
     lab = small_contaminated()
-    report = mip_detect(lab.data, MipConfig(m=50, seed=0, **kwargs))
+    report = mip_detect(lab.data, MipConfig(m=50, seed=0, shared_subsets=True))
     assert report.flagged().tolist() == [0, 1, 2, 3, 4, 5]
 
 

@@ -206,27 +206,6 @@ def test_majority_constant_column_breaks_only_the_robust_mode():
     standardize(d2, EstimatorMode.SAMPLE)
 
 
-def test_estimate_rows_restricts_the_location_scale_estimation():
-    rng = np.random.default_rng(27)
-    d = random_dataset(rng, 12, 3)
-    rows = np.array([0, 2, 3, 7, 9])
-    Z = standardize(d, EstimatorMode.SAMPLE, estimate_rows=rows)
-    assert Z.Z.shape == (12, 3)
-    assert Z.mu_y == np.mean(d.y[rows])
-    assert Z.sigma_y == np.std(d.y[rows], ddof=1)
-    # products still span every row, with the subset estimates
-    yhat = (d.y - Z.mu_y) / Z.sigma_y
-    xhat = (d.X - Z.mu_x) / Z.sigma_x
-    assert np.max(np.abs(Z.Z - yhat[:, None] * xhat)) <= 1e-12
-
-
-def test_estimate_rows_needs_at_least_two_rows():
-    rng = np.random.default_rng(28)
-    d = random_dataset(rng, 10, 2)
-    with pytest.raises(ValueError):
-        standardize(d, EstimatorMode.SAMPLE, estimate_rows=np.array([4]))
-
-
 # ---------------------------------------------------------------------------
 # marginal correlations over index sets
 # ---------------------------------------------------------------------------

@@ -31,10 +31,11 @@ from mipdetect.simbench import (
     gen_example1,
     gen_example2,
     lasso_fit,
-    oracle_decomposition,
     results_to_csv,
 )
 from mipdetect.subsample import draw_subsets, group_statistic, subset_size
+
+from ground_truth import oracle_decomposition
 
 import mipdetect.simbench as simbench
 

@@ -4,18 +4,18 @@ import pytest
 from mipdetect import (
     Dataset,
     EstimatorMode,
-    MipConfig,
     draw_subsets,
     group_statistic,
     marginal_correlation,
-    min_max_statistics,
     min_max_sweep,
     standardize,
     subset_size,
 )
 from mipdetect.chi2_fdr import chi2_1_sf
 from mipdetect.robust_stats import InfluenceMatrix
-from mipdetect.subsample import MinMaxStats, _stream_key, point_energy
+from mipdetect.subsample import _stream_key
+
+from ground_truth import point_energy
 
 
 def influence_from(Z: np.ndarray) -> InfluenceMatrix:
@@ -197,59 +197,48 @@ def test_point_energy_validates_the_index():
 # ---------------------------------------------------------------------------
 
 
+def one_target(Z, n_active, k, m, seed, k_sub=0.5):
+    """(T_min, T_max) of target k over rows 0..n_active-1, round 0."""
+    t_min, t_max = min_max_sweep(
+        Z, np.arange(n_active), m, subset_size(n_active, k_sub), seed, 0, targets=[k]
+    )
+    return float(t_min[0]), float(t_max[0])
+
+
 def test_single_subset_collapses_min_and_max():
     rng = np.random.default_rng(20)
     Z = influence_from(rng.standard_normal((12, 5)))
-    stats = min_max_statistics(Z, np.arange(12), k=3, cfg=MipConfig(m=1, seed=9))
-    assert stats.t_min == stats.t_max
+    t_min, t_max = one_target(Z, 12, k=3, m=1, seed=9)
+    assert t_min == t_max
 
 
 def test_identical_rows_give_degenerate_extremes():
     Z = influence_from(np.tile([0.5, -0.25, 1.0], (10, 1)))
-    stats = min_max_statistics(Z, np.arange(10), k=2, cfg=MipConfig(m=8, seed=0))
-    assert stats.t_min == 0.0
-    assert stats.t_max == 0.0
+    assert one_target(Z, 10, k=2, m=8, seed=0) == (0.0, 0.0)
 
 
 def test_min_max_statistics_replay_the_drawn_plan():
     rng = np.random.default_rng(21)
     Z = influence_from(rng.standard_normal((25, 9)))
-    cfg = MipConfig(m=50, k_sub=0.4, seed=31)
+    m, k_sub, seed = 50, 0.4, 31
     active = np.arange(25)
-    n_sub = subset_size(25, cfg.k_sub)
+    n_sub = subset_size(25, k_sub)
     for k in (0, 7, 24):
-        stats = min_max_statistics(Z, active, k=k, cfg=cfg)
-        plan = draw_subsets(active, k=k, m=cfg.m, n_sub=n_sub, seed=cfg.seed, round_id=0)
+        t_min, t_max = one_target(Z, 25, k=k, m=m, seed=seed, k_sub=k_sub)
+        plan = draw_subsets(active, k=k, m=m, n_sub=n_sub, seed=seed, round_id=0)
         vals = [group_statistic(Z, A, k=k, n_sub=n_sub) for A in plan.subsets]
-        assert abs(stats.t_min - min(vals)) <= 1e-10 * max(1.0, min(vals))
-        assert abs(stats.t_max - max(vals)) <= 1e-10 * max(1.0, max(vals))
-        assert 0.0 <= stats.t_min <= stats.t_max
+        assert abs(t_min - min(vals)) <= 1e-10 * max(1.0, min(vals))
+        assert abs(t_max - max(vals)) <= 1e-10 * max(1.0, max(vals))
+        assert 0.0 <= t_min <= t_max
 
 
 def test_extremes_are_monotone_in_the_subset_count():
     rng = np.random.default_rng(22)
     Z = influence_from(rng.standard_normal((30, 6)))
-    active = np.arange(30)
-    lo = min_max_statistics(Z, active, k=5, cfg=MipConfig(m=20, seed=3))
-    hi = min_max_statistics(Z, active, k=5, cfg=MipConfig(m=60, seed=3))
-    assert hi.t_min <= lo.t_min
-    assert hi.t_max >= lo.t_max
-
-
-def test_per_subset_retention_matches_the_extremes():
-    rng = np.random.default_rng(23)
-    Z = influence_from(rng.standard_normal((16, 4)))
-    stats = min_max_statistics(
-        Z, np.arange(16), k=1, cfg=MipConfig(m=12, seed=8), keep_per_subset=True
-    )
-    assert stats.per_subset.shape == (12,)
-    assert stats.t_min == float(stats.per_subset.min())
-    assert stats.t_max == float(stats.per_subset.max())
-
-
-def test_min_max_stats_ordering_is_enforced():
-    with pytest.raises(ValueError):
-        MinMaxStats(t_min=2.0, t_max=1.0)
+    lo = one_target(Z, 30, k=5, m=20, seed=3)
+    hi = one_target(Z, 30, k=5, m=60, seed=3)
+    assert hi[0] <= lo[0]
+    assert hi[1] >= lo[1]
 
 
 # ---------------------------------------------------------------------------
