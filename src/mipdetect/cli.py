@@ -23,6 +23,7 @@ from . import __version__
 from .chi2_fdr import bh_select, chi2_1_sf_vec, log10_pvalues
 from .him import him_detect
 from .mip import (
+    DegenerateShrinkageError,
     DetectionReport,
     MipConfig,
     checking_statistics_all,
@@ -68,9 +69,10 @@ def load_dataset(path: str, delimiter: str, header_mode: str, response_col: str)
 
     Returns (dataset, sha256-of-input-bytes, zero-based CSV column of the
     response). A leading UTF-8 byte-order mark is skipped. Parse problems
-    raise CliError(2) with row/column positions (1-based, header
-    included), or the 1-based byte offset of the first byte that is not
-    valid UTF-8.
+    and non-finite cells (nan, inf, or a value that overflows) raise
+    CliError(2) with row/column positions (1-based, header included;
+    the first such cell in row-major order), or the 1-based byte offset
+    of the first byte that is not valid UTF-8.
     """
     try:
         with open(path, "rb") as fh:
@@ -122,6 +124,11 @@ def load_dataset(path: str, delimiter: str, header_mode: str, response_col: str)
                     f"row {i + offset}, column {j + 1}: "
                     f"could not parse {cell.strip()!r} as a number",
                 ) from None
+    finite = np.isfinite(data)
+    if not finite.all():
+        i, j = np.unravel_index(np.argmin(finite), data.shape)
+        cell = body[i].split(delimiter)[j].strip()
+        raise CliError(2, f"row {i + offset}, column {j + 1}: non-finite value {cell!r}")
 
     if names and response_col in names:
         rcol = names.index(response_col)
@@ -276,7 +283,8 @@ def _add_mip_opts(sp: argparse.ArgumentParser) -> None:
         "--threads",
         type=int,
         help="worker threads (default: MIP_THREADS or all cores); never changes "
-        "results; --shared-subsets sweeps run on the calling thread",
+        "results; --shared-subsets scores its pool in a few BLAS calls, with no "
+        "Python thread pool",
     )
 
 
@@ -502,6 +510,9 @@ def main(argv=None) -> int:
     except DegenerateColumnError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    except DegenerateShrinkageError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 4
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

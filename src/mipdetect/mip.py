@@ -141,11 +141,32 @@ class CleanSetResult:
     first_t_max: np.ndarray
 
 
-def _workable(n_active: int, n_sub: int) -> None:
-    if n_sub < 3 or n_active < n_sub + 2:
+def _is_workable(n_active: int, n_sub: int) -> bool:
+    return n_sub >= 3 and n_active >= n_sub + 2
+
+
+def _workable(n_active: int, n_sub: int, round_no: int) -> None:
+    if not _is_workable(n_active, n_sub):
         raise DegenerateShrinkageError(
-            f"working set of {n_active} cannot support subsets of size {n_sub}"
+            f"round {round_no}: working set of {n_active} cannot support subsets of size {n_sub}"
         )
+
+
+def _check_sample_size(n: int, k_sub: float) -> None:
+    """Reject a sample whose first working set cannot support subsets at k_sub.
+
+    Workable means k_sub * n >= 2 and (1 - k_sub) * n > 2 (n_sub >= 3 and
+    n >= n_sub + 2); workability only improves with n, so the smallest
+    workable n is found by stepping up from just below that bound.
+    """
+    if _is_workable(n, subset_size(n, k_sub)):
+        return
+    need = max(n, int(max(2.0 / k_sub, 2.0 / (1.0 - k_sub))) - 2)
+    while not _is_workable(need, subset_size(need, k_sub)):
+        need += 1
+    raise ValueError(
+        f"n = {n} observations is below the workable minimum of {need} for k_sub = {k_sub}"
+    )
 
 
 def min_max_clean_set(Z: InfluenceMatrix, cfg: MipConfig) -> CleanSetResult:
@@ -167,9 +188,10 @@ def min_max_clean_set(Z: InfluenceMatrix, cfg: MipConfig) -> CleanSetResult:
     # tiny slack so c*n (inexact for some c) compares as intended
     stop_at = cfg.c * n - 1e-9
 
+    _check_sample_size(n, cfg.k_sub)
     for round_no in range(1, cfg.max_rounds + 1):
         n_sub = subset_size(S.size, cfg.k_sub)
-        _workable(S.size, n_sub)
+        _workable(S.size, n_sub, round_no)
         t_min, t_max = min_max_sweep(
             Z, S, cfg.m, n_sub, cfg.seed, sweep_no,
             threads=cfg.threads, shared=cfg.shared_subsets,
@@ -185,7 +207,7 @@ def min_max_clean_set(Z: InfluenceMatrix, cfg: MipConfig) -> CleanSetResult:
             removed.append((round_no, "min", S[hits].copy()))
             S = np.delete(S, hits)
             n_sub2 = subset_size(S.size, cfg.k_sub)
-            _workable(S.size, n_sub2)
+            _workable(S.size, n_sub2, round_no)
             _, t_max2 = min_max_sweep(
                 Z, S, cfg.m, n_sub2, cfg.seed, sweep_no,
                 threads=cfg.threads, shared=cfg.shared_subsets,
@@ -319,8 +341,8 @@ def mip_detect(d: Dataset, cfg: MipConfig = MipConfig()) -> DetectionReport:
 
 def max_detect(Z: InfluenceMatrix, cfg: MipConfig = MipConfig()) -> DetectionReport:
     """Single-pass detector on T_max with BH at alpha0."""
+    _check_sample_size(Z.n, cfg.k_sub)
     n_sub = subset_size(Z.n, cfg.k_sub)
-    _workable(Z.n, n_sub)
     t_min, t_max = min_max_sweep(
         Z, np.arange(Z.n), cfg.m, n_sub, cfg.seed, 0,
         threads=cfg.threads, shared=cfg.shared_subsets,
@@ -354,9 +376,10 @@ def min_multiround_detect(Z: InfluenceMatrix, cfg: MipConfig = MipConfig()) -> D
     rounds_used = 0
     hit_cap = False
 
+    _check_sample_size(n, cfg.k_sub)
     for round_no in range(1, cfg.max_rounds + 1):
         n_sub = subset_size(U.size, cfg.k_sub)
-        _workable(U.size, n_sub)
+        _workable(U.size, n_sub, round_no)
         t_min, t_max = min_max_sweep(
             Z, U, cfg.m, n_sub, cfg.seed, round_no - 1,
             threads=cfg.threads, shared=cfg.shared_subsets,

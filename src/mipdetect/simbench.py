@@ -343,8 +343,8 @@ def lasso_fit(d: Dataset, lambdas=None, n_folds: int = 5):
     X, y = d.X, d.y
     grid = default_lambda_grid(X, y) if lambdas is None else np.atleast_1d(
         np.asarray(lambdas, dtype=np.float64))
-    if (np.diff(grid) > 0).any() or (grid < 0).any():
-        raise ValueError("penalty grid must be non-negative and non-increasing")
+    if (np.diff(grid) > 0).any() or (grid <= 0).any():
+        raise ValueError("penalty grid must be positive and non-increasing")
     cv_mse = np.zeros(grid.size)
     if grid.size > 1:
         fold_id = np.arange(X.shape[0]) % n_folds

@@ -5,26 +5,25 @@ observations, the group statistic is
 
     n_sub^2 * D_{r,k} = p^{-1} * || mean_{t in A_r} Z_t - Z_k ||^2
 
-where |A_r| = n_sub - 1. T_min and T_max for k are the extremes of that
-statistic over m independently drawn subsets; under the null both are
-asymptotically chi-square(1).
+where |A_r| = s = n_sub - 1. T_min and T_max for k are the extremes of
+that statistic over m independently drawn subsets; under the null both
+are asymptotically chi-square(1).
 
 One draw: every subset comes from a counter-based Philox stream keyed by
 (master seed, target, round, subset id), so any plan can be regenerated
 in isolation and results never depend on evaluation order or worker
 count. Each stream yields one uniform per eligible observation and the
-subset is the n_sub - 1 smallest keys, which is a uniform
-without-replacement sample. ``_draw`` is the only place that happens.
+subset is the s smallest keys, which is a uniform without-replacement
+sample. ``_draw`` is the only place that happens.
 
-Two column-sum sources: the private mode draws m subsets per target
-from the target's own streams and sums them with one indicator-matrix
-product per block of targets; the shared mode draws one pool from a
-reserved target slot, sums it once, and gives each target the first m
-pooled subsets that exclude it (a target the pool cannot serve uses its
-private sums).
-
-One kernel: ``_group_stats`` turns either source's sums into the
-statistics.
+One kernel: with q the squared norm of a subset's column sum and g its
+inner product with Z_k, the statistic is p^{-1} (q/s^2 - 2g/s + K_kk) with
+K = Z_U Z_U^T, so a subset costs O(n_U), not O(p), once inner products
+exist (``_scores``). Private draws take q = <R_r, W_r> and g = R[r, k]
+from R = W @ K over their indicator rows W. The shared pool, drawn once
+from a reserved target slot, takes C = member @ Z_U, G = C @ Z_U^T and
+q = ||C_r||^2 in a few BLAS calls; each target scores the first m pooled
+subsets that exclude it, or its private draws if the pool has too few.
 """
 
 from __future__ import annotations
@@ -60,13 +59,14 @@ def _stream_key(seed: int, k: int, round_id: int, r: int) -> int:
     return ((int(seed) & 0xFFFFFFFFFFFFFFFF) << 64) | low
 
 
-def _uniform_rows(seed: int, keys, round_id: int, m: int, width: int) -> np.ndarray:
-    """One row of uniforms per (target key, subset id), each from its own stream.
+def _draw(seed: int, keys, round_id: int, m: int, width: int, s: int) -> np.ndarray:
+    """(len(keys) * m, s) positions in range(width), one unsorted subset per row.
 
-    Rows are ordered key-major. A Philox stream is fixed by its key alone,
-    so one bit generator per call is re-keyed for every row instead of
-    building a new one; it is local to the call because sweep blocks run
-    on a thread pool.
+    Row r of key k holds the s smallest of ``width`` uniforms from stream
+    (seed, k, round_id, r); rows are ordered key-major. A Philox stream is
+    fixed by its key alone, so one bit generator per call is re-keyed for
+    every row instead of building a new one; it is local to the call
+    because sweep blocks run on a thread pool.
     """
     bg = np.random.Philox(0)
     gen = np.random.Generator(bg)
@@ -83,12 +83,6 @@ def _uniform_rows(seed: int, keys, round_id: int, m: int, width: int) -> np.ndar
             bg.state = state
             gen.random(out=u[row])
             row += 1
-    return u
-
-
-def _draw(seed: int, keys, round_id: int, m: int, width: int, s: int) -> np.ndarray:
-    """(len(keys) * m, s) positions in range(width), one unsorted subset per row."""
-    u = _uniform_rows(seed, keys, round_id, m, width)
     return np.argpartition(u, s - 1, axis=1)[:, :s]
 
 
@@ -186,33 +180,32 @@ def group_statistic(Z: InfluenceMatrix, A_r, k: int, n_sub: int) -> float:
     return float(np.mean(diff * diff))
 
 
-def _chunk_targets(m: int, p: int) -> int:
-    # bounds the (targets*m, p) work buffer near 32 MB
-    return max(1, min(64, 4_000_000 // max(1, m * p)))
+def _chunk_targets(m: int, n_U: int) -> int:
+    # each of a worker's (targets*m, n_U) buffers (uniforms, partition indices,
+    # shifted picks, W, R) stays near 4 MB
+    return max(1, min(64, 500_000 // max(1, m * n_U)))
 
 
-def _private_sums(Zu, av, positions, m, s, seed, round_id) -> np.ndarray:
-    """(len(positions) * m, p) column sums of each target's own m subsets."""
-    pick = _draw(seed, av[positions], round_id, m, Zu.shape[0] - 1, s)
-    # eligible position q maps to working-set position q + (q >= target)
-    tpos = np.repeat(positions, m)
-    return _indicator(pick + (pick >= tpos[:, None]), Zu.shape[0]) @ Zu
-
-
-def _group_stats(sums: np.ndarray, Zk: np.ndarray, s: int) -> np.ndarray:
-    """(nk, m) group statistics from (nk * m, p) subset sums and (nk, p) target rows.
-
-    Works in place on ``sums`` and uses the squared-difference form
-    directly (no cross-term expansion), so near-zero values keep full
-    precision.
-    """
-    nk, p = Zk.shape
-    group = sums.reshape(nk, -1, p)
-    group *= 1.0 / s
-    group -= Zk[:, None, :]
-    stats = np.einsum("abj,abj->ab", group, group)
+def _scores(q: np.ndarray, g: np.ndarray, K_kk, s: int, p: int) -> np.ndarray:
+    """p^{-1} (q/s^2 - 2g/s + K_kk): a squared norm, so round-off below 0 is clamped."""
+    stats = (q / s - 2.0 * g) / s + K_kk
+    np.maximum(stats, 0.0, out=stats)
     stats /= p
     return stats
+
+
+def _private_stats(K, av, positions, m, s, seed, round_id, p) -> np.ndarray:
+    """(len(positions), m) statistics of each target's own m subsets."""
+    nt, n_U = positions.size, K.shape[0]
+    pick = _draw(seed, av[positions], round_id, m, n_U - 1, s)
+    # eligible position q maps to working-set position q + (q >= target)
+    tpos = np.repeat(positions, m)
+    pick += pick >= tpos[:, None]
+    W = _indicator(pick, n_U)
+    # one product per target, so a target's bits never depend on its block
+    R = (W.reshape(nt, m, n_U) @ K).reshape(nt * m, n_U)
+    q = np.einsum("ij,ij->i", R, W)
+    return _scores(q, R[np.arange(nt * m), tpos], K.diagonal()[tpos], s, p).reshape(nt, m)
 
 
 def min_max_sweep(
@@ -232,8 +225,8 @@ def min_max_sweep(
     Returns (t_min, t_max) aligned with the sorted active set (or with
     ``targets`` when given).
     Output is a pure function of the arguments: thread count and chunking
-    never change a bit. Private sweeps run in blocks of targets, on
-    ``threads`` workers; shared sweeps serve one target at a time.
+    never change a bit. Private draws are scored in blocks of targets, on
+    ``threads`` workers; the shared pool is scored on the calling thread.
     """
     av = np.unique(np.asarray(active, dtype=np.int64))
     n_U = av.size
@@ -241,6 +234,7 @@ def min_max_sweep(
     if not 1 <= s <= n_U - 1:
         raise ValueError("subset size out of range for this working set")
     Zu = np.ascontiguousarray(Z.Z[av])
+    p = Zu.shape[1]
 
     if targets is None:
         positions = np.arange(n_U)
@@ -250,35 +244,41 @@ def min_max_sweep(
             raise ValueError("targets must belong to the active set")
 
     nt = positions.size
-    t_min = np.empty(nt)
-    t_max = np.empty(nt)
+    t_min, t_max = np.empty(nt), np.empty(nt)
 
-    def emit(lo, hi, sums):
-        stats = _group_stats(sums, Zu[positions[lo:hi]], s)
-        t_min[lo:hi] = stats.min(axis=1)
-        t_max[lo:hi] = stats.max(axis=1)
+    def emit(idx, stats):
+        t_min[idx] = stats.min(axis=1)
+        t_max[idx] = stats.max(axis=1)
 
-    def private_block(lo, hi):
-        emit(lo, hi, _private_sums(Zu, av, positions[lo:hi], m, s, seed, round_id))
-
+    private = np.arange(nt)
     if shared:
         M = int(math.ceil(_SHARED_OVERDRAW * m))
         member = _indicator(_draw(seed, [_SHARED_KEY_SLOT], round_id, M, n_U, s), n_U)
-        pooled = member @ Zu
-        for j in range(nt):
-            usable = np.flatnonzero(member[:, positions[j]] == 0.0)
-            if usable.size >= m:
-                emit(j, j + 1, pooled[usable[:m]])
-            else:
-                private_block(j, j + 1)
-        return t_min, t_max
+        avail = member[:, positions] == 0.0
+        C = member @ Zu
+        del member  # free each pooled buffer once its products are taken
+        q = np.einsum("ij,ij->i", C, C)
+        G = C @ Zu.T
+        del C
+        # rank each target's usable (excluding) pooled rows; serve those with m
+        rank = np.cumsum(avail, axis=0)
+        served = rank[-1] >= m
+        rows = np.nonzero((avail & (rank <= m))[:, served].T)[1].reshape(-1, m)
+        ps = positions[served][:, None]
+        K_kk = np.einsum("ij,ij->i", Zu, Zu)[ps]
+        emit(np.flatnonzero(served), _scores(q[rows], G[rows, ps], K_kk, s, p))
+        private = np.flatnonzero(~served)
+    K = Zu @ Zu.T if private.size else None
 
-    chunk = _chunk_targets(m, Zu.shape[1])
-    blocks = [(lo, min(lo + chunk, nt)) for lo in range(0, nt, chunk)]
+    def private_block(idx):
+        emit(idx, _private_stats(K, av, positions[idx], m, s, seed, round_id, p))
+
+    chunk = _chunk_targets(m, n_U)
+    blocks = [private[lo:lo + chunk] for lo in range(0, private.size, chunk)]
     if threads and threads > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda b: private_block(*b), blocks))
+            list(pool.map(private_block, blocks))
     else:
         for b in blocks:
-            private_block(*b)
+            private_block(b)
     return t_min, t_max

@@ -356,6 +356,7 @@ def test_parse_errors_carry_positions(tmp_path):
     )
     assert code == 2
     assert "row 3, column 2" in err and "'oops'" in err
+    assert "Error" not in err and "Traceback" not in err
 
     ragged = tmp_path / "ragged.csv"
     ragged.write_text("y,x1,x2\n1,2,3\n4,5\n6,7,8\n9,9,9\n")
@@ -364,6 +365,7 @@ def test_parse_errors_carry_positions(tmp_path):
     )
     assert code == 2
     assert "row 3: expected 3 columns, found 2" in err
+    assert "Error" not in err and "Traceback" not in err
 
 
 def test_unusable_inputs_exit_2(tmp_path, monkeypatch):
@@ -389,6 +391,13 @@ def test_unusable_inputs_exit_2(tmp_path, monkeypatch):
          "invalid UTF-8 at byte 20"),
         (["detect", write_bytes(tmp_path, "head.csv", b"y,x\xe91,x2\n1,2,3\n4,5,6\n7,8,9\n1,2,1\n"), *outs],
          "invalid UTF-8 at byte 4"),
+        (["detect", write_text(tmp_path, "nan.csv", "y,x1,x2\n1,2,3\n4,nan,6\n7,8,9\n1,2,1\n"), *outs],
+         "row 3, column 2: non-finite value 'nan'"),
+        (["detect", write_text(tmp_path, "inf.csv", "y,x1,x2\n1,2,3\n4,5,6\n7,8,-inf\n1,2,1\n"), *outs],
+         "row 4, column 3: non-finite value '-inf'"),
+        # an overflowing literal parses to inf; the first bad cell in row-major order wins
+        (["detect", write_text(tmp_path, "big.csv", "1,2,3\n4,5,1e400\n7,nan,9\n1,2,1\n5,5,5\n"), *outs],
+         "row 2, column 3: non-finite value '1e400'"),
         (["detect", ok, "--response-col", "z", *outs], "neither a header name nor a position"),
         (["detect", ok, "--response-col", "9", *outs], "out of range 1..3"),
         (["detect", ok, "--threads", 0, *outs], "thread count must be at least 1"),
@@ -400,11 +409,40 @@ def test_unusable_inputs_exit_2(tmp_path, monkeypatch):
         code, err = run_cli(argv)
         assert code == 2, argv
         assert fragment in err, (argv, err)
+        assert "Error" not in err and "Traceback" not in err, err
 
     monkeypatch.setenv("MIP_THREADS", "lots")
     code, err = run_cli(["detect", ok, *outs])
     assert code == 2
     assert "MIP_THREADS" in err
+
+
+def test_too_small_working_sets_have_documented_exit_codes(tmp_path):
+    rng = np.random.default_rng(14)
+    X = rng.standard_normal((12, 6))
+    y = rng.standard_normal(12)
+    y[:2] += 30.0
+    shrink = tmp_path / "shrink.csv"
+    write_csv(shrink, y, X)
+    four = tmp_path / "four.csv"
+    write_csv(four, y[:4], X[:4])
+    outs = ["--report", tmp_path / "r.json", "--flags", tmp_path / "f.csv"]
+    # (argv, exit code, message fragment)
+    cases = [
+        (["detect", four, *outs], 2,
+         "n = 4 observations is below the workable minimum of 5 for k_sub = 0.5"),
+        (["detect", shrink, "--ksub", 0.1, *outs], 2,
+         "n = 12 observations is below the workable minimum of 20 for k_sub = 0.1"),
+        (["plot-data", four, "--out", tmp_path / "p.csv"], 2, "workable minimum of 5"),
+        # with c = 1 the l0 fallback strips two rows per quiet round
+        (["detect", shrink, "--c", 1.0, "--l0", 2, "--m", 8, "--estimator", "sample", *outs], 4,
+         "round 5: working set of 4 cannot support subsets of size 3"),
+    ]
+    for argv, want, fragment in cases:
+        code, err = run_cli(argv)
+        assert code == want, (argv, err)
+        assert fragment in err, (argv, err)
+        assert "Error" not in err and "Traceback" not in err, err
 
 
 def test_degenerate_column_exits_3(tmp_path):
@@ -450,6 +488,7 @@ def test_csv_dialects_agree(tmp_path, small_csv):
     plain = nohdr.read_bytes()
     bom = write_bytes(tmp_path, "bom.csv", b"\xef\xbb\xbf" + plain)
     bom_crlf = write_bytes(tmp_path, "bomcrlf.csv", b"\xef\xbb\xbf" + plain.replace(b"\n", b"\r\n"))
+    trailing = write_bytes(tmp_path, "trailing.csv", plain + b"\n\n  \n")
 
     runs = [
         ("semi", semi, ";", "1"),
@@ -458,6 +497,7 @@ def test_csv_dialects_agree(tmp_path, small_csv):
         ("bypos", bypos, ",", str(X.shape[1] + 1)),
         ("bom", bom, ",", "1"),
         ("bomcrlf", bom_crlf, ",", "1"),
+        ("trailing", trailing, ",", "1"),
     ]
     flag_sets = []
     for tag, path, delimiter, response in runs:

@@ -384,6 +384,8 @@ def test_lasso_rejects_increasing_grid():
         lasso_fit(d, lambdas=[0.1, 0.2])
     with pytest.raises(ValueError):
         lasso_fit(d, lambdas=[0.1, -0.1])
+    with pytest.raises(ValueError, match="penalty grid must be positive and non-increasing"):
+        lasso_fit(d, lambdas=[0.1, 0.0])
 
 
 def test_lasso_fit_rejects_a_path_that_fails_kkt(monkeypatch):

@@ -11,9 +11,9 @@ from mipdetect import (
     standardize,
     subset_size,
 )
-from mipdetect.chi2_fdr import chi2_1_sf
+from mipdetect.chi2_fdr import chi2_1_sf, chi2_1_sf_vec
 from mipdetect.robust_stats import InfluenceMatrix
-from mipdetect.subsample import _stream_key
+from mipdetect.subsample import _SHARED_KEY_SLOT, _SHARED_OVERDRAW, _draw, _stream_key
 
 from ground_truth import point_energy
 
@@ -292,6 +292,37 @@ def test_shared_pool_falls_back_to_private_draws_when_starved():
     plain = min_max_sweep(Z, active, 40, 6, seed=13, round_id=0, shared=False)
     assert np.array_equal(shared[0], plain[0])
     assert np.array_equal(shared[1], plain[1])
+
+
+def test_shared_pool_statistics_replay_the_first_usable_pooled_subsets():
+    rng = np.random.default_rng(28)
+    Z = influence_from(rng.standard_normal((30, 40)))
+    m, n_sub, seed, round_id = 12, 11, 4, 2
+    active = np.arange(30)
+    t_min, t_max = min_max_sweep(Z, active, m, n_sub, seed, round_id, shared=True)
+    M = int(np.ceil(_SHARED_OVERDRAW * m))
+    pool = _draw(seed, [_SHARED_KEY_SLOT], round_id, M, 30, n_sub - 1)
+    served = 0
+    for k in range(30):
+        usable = [row for row in pool if k not in row]
+        if len(usable) < m:
+            continue
+        served += 1
+        vals = [group_statistic(Z, np.sort(A), k=k, n_sub=n_sub) for A in usable[:m]]
+        assert abs(t_min[k] - min(vals)) <= 1e-10 * max(1.0, min(vals))
+        assert abs(t_max[k] - max(vals)) <= 1e-10 * max(1.0, max(vals))
+    assert served >= 20
+
+
+def test_identical_non_dyadic_rows_never_give_negative_statistics():
+    # every subset mean equals the target row, so each statistic is 0 up
+    # to round-off in the inner-product form, which must not go negative
+    Z = influence_from(np.tile([0.1, -0.7, 1.0 / 3.0, 2.3, -1.9, 0.37], (60, 1)))
+    for shared in (False, True):
+        t_min, t_max = min_max_sweep(Z, np.arange(60), 40, 31, seed=3, round_id=0, shared=shared)
+        assert (t_min >= 0.0).all() and (t_max >= t_min).all()
+        assert np.all(chi2_1_sf_vec(t_min) <= 1.0)
+        assert t_max.max() <= 1e-12
 
 
 def test_null_sweep_statistics_calibrate_to_chi_square(null_bundle):
