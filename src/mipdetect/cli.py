@@ -1,7 +1,8 @@
 """Command-line interface: CSV in, detection reports and benchmark tables out.
 
 Exit codes: 0 success, 2 unusable input (CSV parse problems, bad flag
-combinations), 3 degenerate column (zero scale), 1 anything else.
+combinations), 3 degenerate column (zero scale), 4 working set shrank
+mid-run below a workable subset size, 1 anything else.
 Observation indices in all outputs are 1-based. Outputs are
 deterministic functions of (input bytes, flags, seed); wall time goes to
 stderr only.
@@ -10,6 +11,7 @@ stderr only.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -33,13 +35,7 @@ from .mip import (
     mip_detect,
 )
 from .robust_stats import Dataset, DegenerateColumnError, EstimatorMode, standardize
-from .simbench import (
-    KNOWN_METHODS,
-    ScenarioKind,
-    ScenarioSpec,
-    results_to_csv,
-    run_experiment,
-)
+from .simbench import KNOWN_METHODS, MetricRow, ScenarioKind, ScenarioSpec, run_experiment
 
 SCHEMA_VERSION = 2
 
@@ -186,21 +182,17 @@ def _manifest(cfg_echo: dict, digest: str, seed: int) -> dict:
     }
 
 
+def _nullable(values: np.ndarray) -> list:
+    return [None if math.isnan(v) else v for v in values.tolist()]
+
+
 def _report_json(report: DetectionReport, digest: str) -> str:
-    obs = []
-    for r in report.records:
-        obs.append(
-            {
-                "index": r.index + 1,
-                "influential": r.influential,
-                "p_value": r.p_value,
-                "statistic": r.statistic,
-                "t_min": r.t_min,
-                "t_max": r.t_max,
-                "checking_stat": r.checking_stat,
-                "clean_member": r.clean_member,
-            }
-        )
+    columns = {name: _nullable(report.records[name]) for name in report.records.dtype.names}
+    columns["index"] = range(1, report.n + 1)
+    if report.clean_set is None:
+        columns["clean_member"] = [None] * report.n
+    else:
+        columns["clean_member"] = np.isin(np.arange(report.n), report.clean_set).tolist()
     payload = {
         "schema_version": SCHEMA_VERSION,
         "method": report.method,
@@ -217,32 +209,38 @@ def _report_json(report: DetectionReport, digest: str) -> str:
             for rd, step, idx in report.removed
         ],
         "hit_iteration_cap": report.hit_iteration_cap,
-        "observations": obs,
+        "observations": [dict(zip(columns, row)) for row in zip(*columns.values())],
     }
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+def _flags_csv(report: DetectionReport, header: tuple, fields: tuple) -> str:
+    """1-based index, then one record field per column; NaN cells are empty."""
+    columns = (report.records[name].tolist() for name in fields)
+    return _csv_text(("index", *header), zip(range(1, report.n + 1), *columns))
+
+
 def write_detect_outputs(report: DetectionReport, digest: str, report_path: str, flags_path: str):
     _write_text(report_path, _report_json(report, digest))
-    rows = [
-        (r.index + 1, r.t_min, r.t_max, r.checking_stat, r.p_value, r.influential)
-        for r in report.records
-    ]
-    _write_text(
-        flags_path,
-        _csv_text(("index", "t_min", "t_max", "checking_stat", "p_value", "influential"), rows),
-    )
+    fields = ("t_min", "t_max", "checking_stat", "p_value", "influential")
+    _write_text(flags_path, _flags_csv(report, fields, fields))
 
 
 def write_him_outputs(report: DetectionReport, digest: str, report_path: str, flags_path: str):
     _write_text(report_path, _report_json(report, digest))
-    rows = [
-        (r.index + 1, r.statistic, r.p_value, r.influential) for r in report.records
-    ]
     _write_text(
         flags_path,
-        _csv_text(("index", "him_stat", "p_value", "influential"), rows),
+        _flags_csv(
+            report, ("him_stat", "p_value", "influential"), ("statistic", "p_value", "influential")
+        ),
     )
+
+
+RESULT_COLUMNS = tuple(f.name for f in dataclasses.fields(MetricRow))
+
+
+def results_to_csv(rows: list[MetricRow]) -> str:
+    return _csv_text(RESULT_COLUMNS, (dataclasses.astuple(r) for r in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -381,25 +379,19 @@ def cmd_plot_data(args) -> int:
 
     p_min = chi2_1_sf_vec(cs.first_t_min)
     p_max = chi2_1_sf_vec(cs.first_t_max)
-    max_hits = set(bh_select(p_max, cfg.alpha0).rejected.tolist())
-    min_hits = set(min_multiround_detect(Z, cfg).flagged().tolist())
+    max_flags = np.zeros(d.n, dtype=bool)
+    max_flags[bh_select(p_max, cfg.alpha0).rejected] = True
+    min_flags = min_multiround_detect(Z, cfg).records.influential
     p_check = chi2_1_sf_vec(checking_statistics_all(Z, cs.clean))
 
-    lp_max = log10_pvalues(p_max)
-    lp_min = log10_pvalues(p_min)
-    lp_check = log10_pvalues(p_check)
-    rows = [
-        (
-            i + 1,
-            float(lp_max[i]),
-            float(lp_min[i]),
-            float(lp_check[i]),
-            mip_report.records[i].influential,
-            i in max_hits,
-            i in min_hits,
-        )
-        for i in range(d.n)
-    ]
+    columns = (
+        log10_pvalues(p_max),
+        log10_pvalues(p_min),
+        log10_pvalues(p_check),
+        mip_report.records.influential,
+        max_flags,
+        min_flags,
+    )
     _write_text(
         args.out,
         _csv_text(
@@ -412,7 +404,7 @@ def cmd_plot_data(args) -> int:
                 "influential_max",
                 "influential_min",
             ),
-            rows,
+            zip(range(1, d.n + 1), *(c.tolist() for c in columns)),
         ),
     )
     print(f"plot-data: {time.perf_counter() - t0:.2f}s wall", file=sys.stderr)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chi2_fdr import PValueSet, bh_select, chi2_1_sf_vec
-from .mip import DetectionReport, ObservationRecord
+from .mip import DetectionReport, report_records
 from .robust_stats import InfluenceMatrix
 
 
@@ -53,15 +53,9 @@ def him_statistic(Z: InfluenceMatrix, k: int) -> float:
 def him_detect(Z: InfluenceMatrix, alpha0: float = 0.05) -> DetectionReport:
     """BH selection at alpha0 over the leave-one-out p-values."""
     scores = him_scores(Z)
-    hits = set(bh_select(scores.pvalues, alpha0).rejected.tolist())
-    records = [
-        ObservationRecord(
-            index=i,
-            influential=i in hits,
-            p_value=float(scores.pvalues.values[i]),
-            statistic=float(scores.statistics[i]),
-        )
-        for i in range(Z.n)
-    ]
+    records = report_records(
+        Z.n, bh_select(scores.pvalues, alpha0).rejected,
+        p_value=scores.pvalues.values, statistic=scores.statistics,
+    )
     config = {"alpha0": alpha0, "estimator": Z.mode.value}
     return DetectionReport(method="him", records=records, config=config, rounds_used=1)

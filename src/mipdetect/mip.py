@@ -10,7 +10,6 @@ checking statistic under BH selection.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,8 +58,9 @@ class MipConfig:
             raise ValueError("l0 must be at least 1")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
+        if not 0 <= self.seed < 2**64:
+            # the subset streams key on the seed's low 64 bits
+            raise ValueError("seed must be an integer in [0, 2**64)")
 
     def resolve_l0(self, n: int) -> int:
         return self.l0 if self.l0 is not None else max(1, math.ceil(0.05 * n))
@@ -81,45 +81,42 @@ class MipConfig:
         }
 
 
-@dataclass
-class ObservationRecord:
-    """Per-observation entry of a detection report.
+# One row per observation. ``statistic`` is whatever statistic drove the
+# method's decision (the checking statistic for the full pipeline, the
+# leave-one-out statistic for the baseline, T_max or T_min for the
+# single-statistic detectors); a value a method does not produce is NaN.
+REPORT_DTYPE = np.dtype(
+    [("influential", np.bool_)]
+    + [(name, np.float64) for name in ("p_value", "statistic", "t_min", "t_max", "checking_stat")]
+)
 
-    ``statistic`` is whatever statistic drove the method's decision (the
-    checking statistic for the full pipeline, the leave-one-out statistic
-    for the baseline, T_max or T_min for the single-statistic detectors);
-    fields that a method does not produce stay None.
-    """
 
-    index: int
-    influential: bool
-    p_value: float | None = None
-    statistic: float | None = None
-    t_min: float | None = None
-    t_max: float | None = None
-    checking_stat: float | None = None
-    clean_member: bool | None = None
+def report_records(n: int, flagged=(), **columns) -> np.recarray:
+    """n report rows: ``flagged`` rows influential, ``columns`` filled, the rest NaN."""
+    records = np.recarray(n, dtype=REPORT_DTYPE)
+    records.fill((False,) + (math.nan,) * (len(REPORT_DTYPE) - 1))
+    records.influential[np.asarray(flagged, dtype=np.int64)] = True
+    for name, values in columns.items():
+        records[name] = values
+    return records
 
 
 @dataclass
 class DetectionReport:
     method: str
-    records: list[ObservationRecord]
+    records: np.recarray  # REPORT_DTYPE, row i is observation i
     config: dict = field(default_factory=dict)
     clean_set: np.ndarray | None = None
     rounds_used: int | None = None
     hit_iteration_cap: bool = False
     removed: list | None = None  # the clean-set trail, for mip only
-    timings: dict = field(default_factory=dict)  # in-memory diagnostics only
 
     @property
     def n(self) -> int:
         return len(self.records)
 
     def flagged(self) -> np.ndarray:
-        return np.asarray(
-            [r.index for r in self.records if r.influential], dtype=np.int64
-        )
+        return np.flatnonzero(self.records.influential)
 
 
 @dataclass
@@ -266,21 +263,14 @@ def checking_step(Z: InfluenceMatrix, S_c, alpha0: float = 0.05) -> DetectionRep
         raise ValueError("clean set index out of range")
     suspects = np.setdiff1d(np.arange(Z.n, dtype=np.int64), clean)
 
-    records = [
-        ObservationRecord(index=int(i), influential=False, clean_member=True)
-        for i in range(Z.n)
-    ]
+    records = report_records(Z.n)
     if suspects.size:
         stats = _checking_stats(Z, clean, suspects)
         pvals = chi2_1_sf_vec(stats)
-        hits = set(suspects[bh_select(pvals, alpha0).rejected].tolist())
-        for i, stat, pv in zip(suspects.tolist(), stats, pvals):
-            rec = records[i]
-            rec.clean_member = False
-            rec.checking_stat = float(stat)
-            rec.statistic = float(stat)
-            rec.p_value = float(pv)
-            rec.influential = i in hits
+        records.influential[suspects[bh_select(pvals, alpha0).rejected]] = True
+        records.checking_stat[suspects] = stats
+        records.statistic[suspects] = stats
+        records.p_value[suspects] = pvals
     return DetectionReport(method="checking", records=records, clean_set=clean)
 
 
@@ -314,28 +304,17 @@ def checking_statistics_all(Z: InfluenceMatrix, S_c) -> np.ndarray:
 
 def mip_detect(d: Dataset, cfg: MipConfig = MipConfig()) -> DetectionReport:
     """Full pipeline: standardize, estimate a clean set, check suspects."""
-    t0 = time.perf_counter()
     Z = standardize(d, cfg.estimator)
-    t1 = time.perf_counter()
     cs = min_max_clean_set(Z, cfg)
-    t2 = time.perf_counter()
     report = checking_step(Z, cs.clean, cfg.alpha0)
-    t3 = time.perf_counter()
 
     report.method = "mip"
     report.config = cfg.echo()
     report.rounds_used = cs.rounds_used
     report.hit_iteration_cap = cs.hit_iteration_cap
     report.removed = cs.removed
-    for rec in report.records:
-        rec.t_min = float(cs.first_t_min[rec.index])
-        rec.t_max = float(cs.first_t_max[rec.index])
-    report.timings = {
-        "standardize_s": t1 - t0,
-        "clean_set_s": t2 - t1,
-        "checking_s": t3 - t2,
-        "total_s": t3 - t0,
-    }
+    report.records.t_min = cs.first_t_min
+    report.records.t_max = cs.first_t_max
     return report
 
 
@@ -348,18 +327,10 @@ def max_detect(Z: InfluenceMatrix, cfg: MipConfig = MipConfig()) -> DetectionRep
         threads=cfg.threads, shared=cfg.shared_subsets,
     )
     pvals = chi2_1_sf_vec(t_max)
-    hits = set(bh_select(pvals, cfg.alpha0).rejected.tolist())
-    records = [
-        ObservationRecord(
-            index=i,
-            influential=i in hits,
-            p_value=float(pvals[i]),
-            statistic=float(t_max[i]),
-            t_min=float(t_min[i]),
-            t_max=float(t_max[i]),
-        )
-        for i in range(Z.n)
-    ]
+    records = report_records(
+        Z.n, bh_select(pvals, cfg.alpha0).rejected,
+        p_value=pvals, statistic=t_max, t_min=t_min, t_max=t_max,
+    )
     return DetectionReport(method="max", records=records, config=cfg.echo(), rounds_used=1)
 
 
@@ -396,18 +367,9 @@ def min_multiround_detect(Z: InfluenceMatrix, cfg: MipConfig = MipConfig()) -> D
         if round_no == cfg.max_rounds:
             hit_cap = True
 
-    flagged_set = set(flagged)
-    records = [
-        ObservationRecord(
-            index=i,
-            influential=i in flagged_set,
-            p_value=float(first_p[i]),
-            statistic=float(first_t_min[i]),
-            t_min=float(first_t_min[i]),
-            t_max=float(first_t_max[i]),
-        )
-        for i in range(n)
-    ]
+    records = report_records(
+        n, flagged, p_value=first_p, statistic=first_t_min, t_min=first_t_min, t_max=first_t_max
+    )
     return DetectionReport(
         method="min",
         records=records,

@@ -484,26 +484,3 @@ def _aggregate(rows: list[dict], name: str, spec: ScenarioSpec) -> MetricRow:
         reps=len(rows),
     )
 
-
-RESULT_COLUMNS = ("method", "mu", "tpr_inf", "fpr_inf", "f1", "err", "tpr_vs", "fpr_vs", "reps")
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return "" if math.isnan(v) else repr(v)
-    return str(v)
-
-
-def results_to_csv(rows: list[MetricRow]) -> str:
-    lines = [",".join(RESULT_COLUMNS)]
-    for r in rows:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    r.method, r.mu, r.tpr_inf, r.fpr_inf, r.f1,
-                    r.err, r.tpr_vs, r.fpr_vs, r.reps,
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"

@@ -17,7 +17,7 @@ import pytest
 from mipdetect import __version__
 from mipdetect.cli import _add_mip_opts, _cell, load_dataset, main
 from mipdetect.him import him_detect
-from mipdetect.mip import MipConfig
+from mipdetect.mip import MipConfig, mip_detect
 from mipdetect.robust_stats import Dataset, EstimatorMode, standardize
 from mipdetect.simbench import ScenarioKind, ScenarioSpec, gen_scenario
 
@@ -269,17 +269,42 @@ def test_him_matches_library_bit_for_bit(tmp_path, small_csv):
     assert code == 0
 
     Z = standardize(Dataset(y=lab.data.y, X=lab.data.X), EstimatorMode.ROBUST)
-    ref = him_detect(Z, 0.05)
+    rec = him_detect(Z, 0.05).records
     header, rows = read_rows(flags_path)
     assert header == ["index", "him_stat", "p_value", "influential"]
-    for i, r in enumerate(rows):
-        assert float(r[1]) == ref.records[i].statistic
-        assert float(r[2]) == ref.records[i].p_value
-        assert (r[3] == "true") == ref.records[i].influential
+    assert [r[1] for r in rows] == [repr(v) for v in rec.statistic.tolist()]
+    assert [r[2] for r in rows] == [repr(v) for v in rec.p_value.tolist()]
+    assert [r[3] == "true" for r in rows] == rec.influential.tolist()
 
     payload = json.loads(report_path.read_text())
     assert payload["method"] == "him"
     assert payload["manifest"]["seed"] == 9
+
+
+def test_detect_matches_library_bit_for_bit(tmp_path, small_csv):
+    csv, lab = small_csv
+    report_path = tmp_path / "report.json"
+    flags_path = tmp_path / "flags.csv"
+    code, _ = run_cli(
+        ["detect", csv, "--m", 40, "--seed", 3, "--report", report_path, "--flags", flags_path]
+    )
+    assert code == 0
+
+    ref = mip_detect(Dataset(y=lab.data.y, X=lab.data.X), MipConfig(m=40, seed=3))
+    rec = ref.records
+    header, rows = read_rows(flags_path)
+    obs = json.loads(report_path.read_text())["observations"]
+    for name in ("t_min", "t_max", "checking_stat", "p_value", "statistic"):
+        col = rec[name].tolist()
+        # empty cell / null exactly where the library column is NaN
+        assert [o[name] for o in obs] == [None if np.isnan(v) else v for v in col], name
+        if name in header:
+            cells = [r[header.index(name)] for r in rows]
+            assert cells == ["" if np.isnan(v) else repr(v) for v in col], name
+    flags = rec.influential.tolist()
+    assert [r[-1] == "true" for r in rows] == flags
+    assert [o["influential"] for o in obs] == flags
+    assert [o["clean_member"] for o in obs] == np.isin(np.arange(60), ref.clean_set).tolist()
 
 
 def test_plot_data_schema_and_flag_nesting(tmp_path):
@@ -402,6 +427,7 @@ def test_unusable_inputs_exit_2(tmp_path, monkeypatch):
         (["detect", ok, "--response-col", "9", *outs], "out of range 1..3"),
         (["detect", ok, "--threads", 0, *outs], "thread count must be at least 1"),
         (["detect", ok, "--alpha", 1.5, *outs], "alpha and alpha0"),
+        (["detect", ok, "--seed", 2**64, *outs], "seed must be an integer in [0, 2**64)"),
         (["simulate", "--example", "1", "--methods", "MIP,Bogus",
           "--out", tmp_path / "s.csv"], "unknown method 'Bogus'"),
     ]

@@ -15,10 +15,10 @@ from mipdetect import (
     run_experiment,
     standardize,
 )
+from mipdetect.cli import RESULT_COLUMNS, results_to_csv
 from mipdetect.simbench import (
     ConvergenceError,
     MetricRow,
-    RESULT_COLUMNS,
     _beta_from_head,
     _BETA_HEAD_MASKING,
     _BETA_HEAD_SWAMPING,
@@ -31,7 +31,6 @@ from mipdetect.simbench import (
     gen_example1,
     gen_example2,
     lasso_fit,
-    results_to_csv,
 )
 from mipdetect.subsample import draw_subsets, group_statistic, subset_size
 
