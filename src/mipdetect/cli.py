@@ -13,6 +13,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import io
+import itertools
 import json
 import math
 import os
@@ -52,6 +54,12 @@ class CliError(Exception):
 # ---------------------------------------------------------------------------
 
 
+# Characters that end a line for str.splitlines, and so for the per-cell
+# parser, but not for universal newlines, plus U+001F, which np.loadtxt strips
+# around a number as if it were a space while float() refuses it.
+_BULK_REFUSES = "\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029"
+
+
 def _is_number(cell: str) -> bool:
     try:
         float(cell)
@@ -60,21 +68,71 @@ def _is_number(cell: str) -> bool:
         return False
 
 
-def load_dataset(path: str, delimiter: str, header_mode: str, response_col: str):
-    """Parse a rectangular numeric CSV into a Dataset.
+def _header_names(first: list[str], header_mode: str) -> list[str] | None:
+    """The column names in the first row's cells, or None if that row is data."""
+    if header_mode == "yes":
+        has_header = True
+    elif header_mode == "no":
+        has_header = False
+    else:
+        has_header = not all(_is_number(c) for c in first)
+    return [c.strip() for c in first] if has_header else None
 
-    Returns (dataset, sha256-of-input-bytes, zero-based CSV column of the
-    response). A leading UTF-8 byte-order mark is skipped. Parse problems
-    and non-finite cells (nan, inf, or a value that overflows) raise
-    CliError(2) with row/column positions (1-based, header included;
-    the first such cell in row-major order), or the 1-based byte offset
-    of the first byte that is not valid UTF-8.
+
+class _HashingReader(io.RawIOBase):
+    """Binary reads from ``fh`` that feed every byte read to a SHA-256."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.sha256 = hashlib.sha256()
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        n = self.fh.readinto(buf)
+        self.sha256.update(memoryview(buf)[:n])
+        return n
+
+
+def _nonblank_lines(text):
+    """The lines of ``text`` that are not blank; raises on a line that needs the rescan."""
+    for line in text:
+        if line.isspace():
+            continue
+        if any(c in line for c in _BULK_REFUSES):
+            raise ValueError("a line the per-cell parser must split")
+        yield line
+
+
+def _parse_bulk(fh, delimiter: str, header_mode: str):
+    """(matrix, header names or None, sha256) of binary stream ``fh`` in one np.loadtxt pass.
+
+    Raises on anything the per-cell parser must decide: unreadable or
+    invalid input, a row of another width, a non-finite cell.
     """
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as e:
-        raise CliError(2, f"cannot read {path}: {e}") from e
+    raw = _HashingReader(fh)
+    text = io.TextIOWrapper(io.BufferedReader(raw, 1 << 16), encoding="utf-8-sig")
+    lines = _nonblank_lines(text)
+    first = next(lines)
+    cells = first.removesuffix("\n").split(delimiter)
+    names = _header_names(cells, header_mode)
+    if names is not None:
+        first = next(lines)
+    data = np.loadtxt(
+        itertools.chain([first], lines), delimiter=delimiter, comments=None, ndmin=2, dtype=np.float64
+    )
+    if len(cells) < 2 or data.shape[1] != len(cells) or not np.isfinite(data).all():
+        raise ValueError("a table the per-cell parser must check")
+    return data, names, raw.sha256.hexdigest()
+
+
+def _parse_cells(raw: bytes, path: str, delimiter: str, header_mode: str):
+    """(matrix, header names or None, sha256) of ``raw``, parsing one cell at a time with float().
+
+    Accepts and rejects exactly what the CLI contract does, and names the
+    first problem by its position (CliError(2)).
+    """
     digest = hashlib.sha256(raw).hexdigest()
 
     try:
@@ -89,14 +147,8 @@ def load_dataset(path: str, delimiter: str, header_mode: str, response_col: str)
         raise CliError(2, "input has no rows")
 
     first = lines[0].split(delimiter)
-    if header_mode == "yes":
-        has_header = True
-    elif header_mode == "no":
-        has_header = False
-    else:
-        has_header = not all(_is_number(c) for c in first)
-    names = [c.strip() for c in first] if has_header else None
-    body = lines[1:] if has_header else lines
+    names = _header_names(first, header_mode)
+    body = lines[1:] if names is not None else lines
     if not body:
         raise CliError(2, "input has a header but no data rows")
 
@@ -105,7 +157,7 @@ def load_dataset(path: str, delimiter: str, header_mode: str, response_col: str)
         raise CliError(2, "need a response column and at least one predictor; "
                           f"the first row has one column when split on {delimiter!r}")
     data = np.empty((len(body), width))
-    offset = 2 if has_header else 1
+    offset = 2 if names is not None else 1
     for i, row in enumerate(line.split(delimiter) for line in body):  # one row's cells at a time
         if len(row) != width:
             raise CliError(
@@ -125,7 +177,43 @@ def load_dataset(path: str, delimiter: str, header_mode: str, response_col: str)
         i, j = np.unravel_index(np.argmin(finite), data.shape)
         cell = body[i].split(delimiter)[j].strip()
         raise CliError(2, f"row {i + offset}, column {j + 1}: non-finite value {cell!r}")
+    return data, names, digest
 
+
+def load_dataset(path: str, delimiter: str, header_mode: str, response_col: str):
+    """Parse a rectangular numeric CSV into a Dataset.
+
+    Returns (dataset, sha256-of-input-bytes, zero-based CSV column of the
+    response). A leading UTF-8 byte-order mark is skipped. Parse problems
+    and non-finite cells (nan, inf, or a value that overflows) raise
+    CliError(2) with row/column positions (1-based, header included;
+    the first such cell in row-major order), or the 1-based byte offset
+    of the first byte that is not valid UTF-8.
+
+    The file is read once as a stream: each block of bytes goes to the
+    SHA-256 as it is read, is decoded as strict UTF-8, and the rows after
+    the first non-blank line (which settles ``header_mode="auto"``) are
+    parsed by one np.loadtxt call straight into the final matrix. Ingestion
+    then holds about the matrix plus a few blocks of text, not the file.
+    If that bulk parse raises, or meets a line break or cell it would read
+    differently from float(), the file is parsed again one cell at a time;
+    that rescan alone accepts or rejects such input and reports the
+    position of its first problem. A pipe, which cannot be read twice, is
+    read into memory first.
+    """
+    try:
+        with open(path, "rb", buffering=0) as fh:
+            # a pipe cannot be read twice, so its bytes are kept for the rescan
+            src = fh if fh.seekable() else io.BytesIO(fh.read())
+            try:
+                data, names, digest = _parse_bulk(src, delimiter, header_mode)
+            except Exception:  # the rescan decides every input the bulk parse does not take
+                src.seek(0)
+                data, names, digest = _parse_cells(src.read(), path, delimiter, header_mode)
+    except OSError as e:
+        raise CliError(2, f"cannot read {path}: {e}") from e
+
+    n, width = data.shape
     if names and response_col in names:
         rcol = names.index(response_col)
     else:
@@ -138,10 +226,16 @@ def load_dataset(path: str, delimiter: str, header_mode: str, response_col: str)
         if not 0 <= rcol < width:
             raise CliError(2, f"response column {response_col} out of range 1..{width}")
 
-    y = data[:, rcol]
-    X = np.delete(data, rcol, axis=1)
+    # Take y out, then shift the columns right of it one place left, a block
+    # of rows at a time so that the overlapping copy stays small; X views
+    # the first width - 1 columns of the parsed matrix.
+    y = data[:, rcol].copy()
+    step = max(1, (1 << 20) // data[0].nbytes)
+    for start in range(0, n, step):
+        block = data[start : start + step]
+        block[:, rcol:-1] = block[:, rcol + 1 :]
     try:
-        return Dataset(y=y, X=X), digest, rcol
+        return Dataset(y=y, X=data[:, :-1]), digest, rcol
     except ValueError as e:
         raise CliError(2, str(e)) from e
 

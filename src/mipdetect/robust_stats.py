@@ -160,18 +160,22 @@ def standardize(d: Dataset, mode: EstimatorMode = EstimatorMode.ROBUST) -> Influ
     if sigma_y <= 0.0:
         raise DegenerateColumnError(None)
 
+    # Z is built in one n-by-p buffer: centre, scale, then weight by yhat.
     if mode is EstimatorMode.ROBUST:
         mu_x = np.median(d.X, axis=0)
-        sigma_x = MAD_SCALE_FACTOR * np.median(np.abs(d.X - mu_x), axis=0)
+        Z = d.X - mu_x
+        sigma_x = MAD_SCALE_FACTOR * np.median(np.abs(Z), axis=0, overwrite_input=True)
     else:
         mu_x = np.mean(d.X, axis=0)
         sigma_x = np.std(d.X, axis=0, ddof=1)
+        Z = d.X - mu_x
     bad = np.flatnonzero(sigma_x <= 0.0)
     if bad.size:
         raise DegenerateColumnError(int(bad[0]))
 
     yhat = (d.y - mu_y) / sigma_y
-    Z = yhat[:, None] * ((d.X - mu_x) / sigma_x)
+    Z /= sigma_x
+    Z *= yhat[:, None]
     return InfluenceMatrix(
         Z=Z,
         yhat=yhat,

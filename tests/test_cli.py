@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -416,6 +417,16 @@ def test_unusable_inputs_exit_2(tmp_path, monkeypatch):
          "invalid UTF-8 at byte 20"),
         (["detect", write_bytes(tmp_path, "head.csv", b"y,x\xe91,x2\n1,2,3\n4,5,6\n7,8,9\n1,2,1\n"), *outs],
          "invalid UTF-8 at byte 4"),
+        # '#' starts no comment: the last cell of row 3 is bad, not 2
+        (["detect", write_text(tmp_path, "hash.csv", "y,x1\n1,2\n4,2#x\n7,8\n1,1\n"), *outs],
+         "row 3, column 2: could not parse '2#x'"),
+        # a form feed ends the line; U+001F is not a space to float()
+        (["detect", write_text(tmp_path, "ff.csv", "y,x1,x2\n1,2,3\n4,5\x0c,6\n7,8,9\n1,2,1\n"), *outs],
+         "row 3: expected 3 columns, found 2"),
+        (["detect", write_text(tmp_path, "us.csv", "y,x1,x2\n1,2,3\n4,5\x1f,6\n7,8,9\n1,2,1\n"), *outs],
+         "row 3, column 2: could not parse"),
+        (["detect", write_text(tmp_path, "wide.csv", "y,x1\n1,2,3\n4,5,6\n7,8,9\n1,2,1\n"), *outs],
+         "row 2: expected 2 columns, found 3"),
         (["detect", write_text(tmp_path, "nan.csv", "y,x1,x2\n1,2,3\n4,nan,6\n7,8,9\n1,2,1\n"), *outs],
          "row 3, column 2: non-finite value 'nan'"),
         (["detect", write_text(tmp_path, "inf.csv", "y,x1,x2\n1,2,3\n4,5,6\n7,8,-inf\n1,2,1\n"), *outs],
@@ -515,6 +526,14 @@ def test_csv_dialects_agree(tmp_path, small_csv):
     bom = write_bytes(tmp_path, "bom.csv", b"\xef\xbb\xbf" + plain)
     bom_crlf = write_bytes(tmp_path, "bomcrlf.csv", b"\xef\xbb\xbf" + plain.replace(b"\n", b"\r\n"))
     trailing = write_bytes(tmp_path, "trailing.csv", plain + b"\n\n  \n")
+    # line breaks that np.loadtxt does not split on, and a whitespace-only line,
+    # are read as str.splitlines reads them
+    *head, rest = plain.split(b"\n", 3)
+    blank = write_bytes(tmp_path, "blank.csv", b"\n".join(head) + b"\n \t \n" + rest)
+    cr = write_bytes(tmp_path, "cr.csv", plain.replace(b"\n", b"\r"))
+    breaks = write_bytes(
+        tmp_path, "breaks.csv", b"\xe2\x80\xa8".join(head) + b"\x0b" + rest.replace(b"\n", b"\xc2\x85", 1)
+    )
 
     runs = [
         ("semi", semi, ";", "1"),
@@ -524,6 +543,9 @@ def test_csv_dialects_agree(tmp_path, small_csv):
         ("bom", bom, ",", "1"),
         ("bomcrlf", bom_crlf, ",", "1"),
         ("trailing", trailing, ",", "1"),
+        ("blank", blank, ",", "1"),
+        ("cr", cr, ",", "1"),
+        ("breaks", breaks, ",", "1"),
     ]
     flag_sets = []
     for tag, path, delimiter, response in runs:
@@ -535,6 +557,53 @@ def test_csv_dialects_agree(tmp_path, small_csv):
         flag_sets.append(flagged_indices(tmp_path / f"{tag}.csv"))
     assert all(f == flag_sets[0] for f in flag_sets[1:])
     assert flag_sets[0] == [1, 2, 3, 4, 5, 6]
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_piped_input_is_parsed_like_a_file(tmp_path):
+    text = b"y,x1\n1,2\n \n3,1_0\n5,6\n7,9\n"  # the blank line and 1_0 need the rescan
+    want_d, want_digest, _ = load_dataset(str(write_bytes(tmp_path, "p.csv", text)), ",", "auto", "1")
+    r, w = os.pipe()
+    os.write(w, text)
+    os.close(w)
+    try:
+        d, digest, _ = load_dataset(f"/dev/fd/{r}", ",", "auto", "1")
+    finally:
+        os.close(r)
+    assert digest == want_digest
+    assert d.y.tobytes() == want_d.y.tobytes() and d.X.tobytes() == want_d.X.tobytes()
+
+
+def test_ingestion_memory_is_bounded(tmp_path):
+    """Parsing holds about the matrix plus a few blocks of text, not the file."""
+    rng = np.random.default_rng(3)
+    data = rng.standard_normal((400, 1001))
+    path = tmp_path / "big.csv"
+    path.write_text("".join(",".join(map(repr, row)) + "\n" for row in data.tolist()))
+    assert path.stat().st_size > 7_500_000
+    tracemalloc.start()
+    try:
+        d, _, _ = load_dataset(str(path), ",", "auto", "1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.X.tobytes() == data[:, 1:].tobytes()
+    assert peak <= 3 * data.nbytes + 4_000_000, (peak, data.nbytes)
+
+
+def test_very_large_p(tmp_path):
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((8, 100_000)).round(3)
+    y = rng.standard_normal(8).round(3)
+    path = tmp_path / "widest.csv"
+    write_csv(path, y, X)
+    d, _, _ = load_dataset(str(path), ",", "auto", "1")
+    assert np.column_stack([d.y, d.X]).tobytes() == np.column_stack([y, X]).tobytes()
+    code, err = run_cli(
+        ["detect", path, "--m", 10, "--report", tmp_path / "r.json", "--flags", tmp_path / "f.csv"]
+    )
+    assert code == 0, err
+    assert "Traceback" not in err
 
 
 def test_every_mip_option_is_a_config_field_and_echoed():
