@@ -6,11 +6,10 @@ from .chi2_fdr import (
     BhResult,
     PValueSet,
     bh_select,
-    chi2_1_quantile,
     chi2_1_sf,
     chi2_1_sf_vec,
 )
-from .him import HimScores, him_detect, him_scores, him_statistic
+from .him import HimScores, him_detect, him_scores
 from .mip import (
     CleanSetResult,
     DegenerateShrinkageError,
@@ -28,7 +27,6 @@ from .robust_stats import (
     DegenerateColumnError,
     EstimatorMode,
     InfluenceMatrix,
-    marginal_correlation,
     standardize,
 )
 from .simbench import (
@@ -56,13 +54,11 @@ __all__ = [
     "BhResult",
     "PValueSet",
     "bh_select",
-    "chi2_1_quantile",
     "chi2_1_sf",
     "chi2_1_sf_vec",
     "HimScores",
     "him_detect",
     "him_scores",
-    "him_statistic",
     "CleanSetResult",
     "DegenerateShrinkageError",
     "DetectionReport",
@@ -77,7 +73,6 @@ __all__ = [
     "DegenerateColumnError",
     "EstimatorMode",
     "InfluenceMatrix",
-    "marginal_correlation",
     "standardize",
     "LabeledDataset",
     "MetricRow",

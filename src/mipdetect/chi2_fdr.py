@@ -63,32 +63,6 @@ def chi2_1_sf_vec(t: np.ndarray) -> np.ndarray:
     return np.array([math.erfc(math.sqrt(0.5 * x)) for x in t.ravel()]).reshape(t.shape)
 
 
-def chi2_1_quantile(level: float) -> float:
-    """Quantile of chi-square(1): the t with P(chi2(1) <= t) = level.
-
-    Solved by bisection on the survival function; the returned point has
-    |sf(t) - (1 - level)| <= 1e-12 or brackets it to machine width.
-    """
-    level = float(level)
-    if not (0.0 < level < 1.0):
-        raise ValueError("level must be strictly inside (0, 1)")
-    target = 1.0 - level
-    lo, hi = 0.0, 1.0
-    while chi2_1_sf(hi) > target:
-        hi *= 2.0
-        if hi > 1e8:  # sf underflows long before this
-            break
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if chi2_1_sf(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def bh_select(p, alpha0: float) -> BhResult:
     """Benjamini-Hochberg step-up selection at FDR level alpha0.
 

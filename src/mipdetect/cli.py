@@ -170,12 +170,12 @@ def _parse_cells(raw: bytes, path: str, delimiter: str, header_mode: str):
                 raise CliError(
                     2,
                     f"row {i + offset}, column {j + 1}: "
-                    f"could not parse {cell.strip()!r} as a number",
+                    f"could not parse {cell!r} as a number",
                 ) from None
     finite = np.isfinite(data)
     if not finite.all():
         i, j = np.unravel_index(np.argmin(finite), data.shape)
-        cell = body[i].split(delimiter)[j].strip()
+        cell = body[i].split(delimiter)[j]
         raise CliError(2, f"row {i + offset}, column {j + 1}: non-finite value {cell!r}")
     return data, names, digest
 

@@ -38,18 +38,6 @@ def him_scores(Z: InfluenceMatrix) -> HimScores:
     return HimScores(statistics=stats, pvalues=PValueSet(chi2_1_sf_vec(stats)))
 
 
-def him_statistic(Z: InfluenceMatrix, k: int) -> float:
-    """n^2 * D_k for a single observation."""
-    n = Z.n
-    if n < 3:
-        raise ValueError("need at least 3 observations")
-    if not (0 <= k < n):
-        raise ValueError("observation index out of range")
-    colsum = Z.Z.sum(axis=0)
-    a = (n * Z.Z[k] - colsum) / (n - 1)
-    return float(np.mean(a * a))
-
-
 def him_detect(Z: InfluenceMatrix, alpha0: float = 0.05) -> DetectionReport:
     """BH selection at alpha0 over the leave-one-out p-values."""
     scores = him_scores(Z)

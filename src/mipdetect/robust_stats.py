@@ -17,6 +17,11 @@ import numpy as np
 # Normal-consistency factor for the MAD: 1/Phi^{-1}(3/4).
 MAD_SCALE_FACTOR = 1.4826
 
+# Bytes per column block of the robust standardization (131 columns at
+# n = 1000). Blocks of 1-4 MB timed alike; full-width ones were about 20%
+# slower at n = 1000, and would double the peak.
+_BLOCK_BYTES = 1 << 20
+
 
 class DegenerateColumnError(ValueError):
     """A column (or the response) has zero scale under the chosen estimator.
@@ -100,14 +105,38 @@ class InfluenceMatrix:
 # ---------------------------------------------------------------------------
 
 
-def median(v: np.ndarray) -> float:
-    """Sample median; midpoint of the two central order statistics for even length."""
+def _select_medians(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.median`` of each contiguous row of ``rows`` into ``out``; reorders ``rows``.
+
+    ``np.median`` partitions at two or three pivots (both middles, and -1
+    for its NaN check), which takes NumPy's generic multi-pivot path; one
+    pivot at h = n // 2 takes the SIMD selection path instead, about 3x
+    faster. For even n the lower middle is the largest value left of h.
+    The middle element or pair is then averaged by ``np.mean``, the
+    reduction ``np.median`` ends with, so the bits are the same, signed
+    zeros included. Callers guarantee finite values.
+    """
+    n = rows.shape[1]
+    h = n // 2
+    rows.partition(h, axis=1)
+    if n % 2 == 0:
+        rows[:, h - 1] = rows[:, :h].max(axis=1)
+    return np.mean(rows[:, (n - 1) // 2 : h + 1], axis=1, out=out)
+
+
+def _finite_vector(v, what: str) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.size == 0:
-        raise ValueError("median of an empty vector")
+        raise ValueError(f"{what} of an empty vector")
     if not np.isfinite(v).all():
-        raise ValueError("median requires finite values")
-    return float(np.median(v))
+        raise ValueError(f"{what} requires finite values")
+    return v.reshape(1, -1)
+
+
+def median(v: np.ndarray) -> float:
+    """Sample median; midpoint of the two central order statistics for even length."""
+    rows = _finite_vector(v, "median").copy()
+    return float(_select_medians(rows, np.empty(1))[0])
 
 
 def mad_scale(v: np.ndarray) -> float:
@@ -117,13 +146,9 @@ def mad_scale(v: np.ndarray) -> float:
     under normality. A constant vector yields 0; callers that need a
     positive scale must reject that themselves.
     """
-    v = np.asarray(v, dtype=np.float64)
-    if v.size == 0:
-        raise ValueError("mad_scale of an empty vector")
-    if not np.isfinite(v).all():
-        raise ValueError("mad_scale requires finite values")
-    center = np.median(v)
-    return MAD_SCALE_FACTOR * float(np.median(np.abs(v - center)))
+    rows = _finite_vector(v, "mad_scale")
+    deviations = np.abs(rows - median(rows))
+    return MAD_SCALE_FACTOR * float(_select_medians(deviations, np.empty(1))[0])
 
 
 def _location_scale(v: np.ndarray, mode: EstimatorMode) -> tuple[float, float]:
@@ -162,9 +187,22 @@ def standardize(d: Dataset, mode: EstimatorMode = EstimatorMode.ROBUST) -> Influ
 
     # Z is built in one n-by-p buffer: centre, scale, then weight by yhat.
     if mode is EstimatorMode.ROBUST:
-        mu_x = np.median(d.X, axis=0)
-        Z = d.X - mu_x
-        sigma_x = MAD_SCALE_FACTOR * np.median(np.abs(Z), axis=0, overwrite_input=True)
+        # One column block at a time: copied transposed so that each column
+        # is a contiguous row, selected for mu_x, then refilled with |Z| for
+        # the MAD. Peak memory is Z plus one block.
+        n, p = d.X.shape
+        width = max(1, _BLOCK_BYTES // (8 * n))
+        block = np.empty((min(width, p), n))
+        Z, mu_x, sigma_x = np.empty((n, p)), np.empty(p), np.empty(p)
+        for j in range(0, p, width):
+            cols = slice(j, j + width)
+            rows = block[: min(width, p - j)]
+            np.copyto(rows, d.X[:, cols].T)
+            _select_medians(rows, mu_x[cols])
+            np.subtract(d.X[:, cols], mu_x[cols], out=Z[:, cols])
+            np.abs(Z[:, cols].T, out=rows)
+            _select_medians(rows, sigma_x[cols])
+        sigma_x *= MAD_SCALE_FACTOR
     else:
         mu_x = np.mean(d.X, axis=0)
         sigma_x = np.std(d.X, axis=0, ddof=1)
@@ -185,18 +223,3 @@ def standardize(d: Dataset, mode: EstimatorMode = EstimatorMode.ROBUST) -> Influ
         sigma_x=np.asarray(sigma_x, dtype=np.float64),
         mode=mode,
     )
-
-
-def marginal_correlation(Z: InfluenceMatrix, S) -> np.ndarray:
-    """Marginal-correlation estimate based on the observations in S.
-
-    Component j is the mean of Z[t, j] over t in S. With S = all rows and
-    sample-mode standardization this is the usual vector of sample
-    correlations between the response and each predictor.
-    """
-    idx = np.asarray(S, dtype=np.intp)
-    if idx.size == 0:
-        raise ValueError("marginal_correlation over an empty index set")
-    if idx.min() < 0 or idx.max() >= Z.n:
-        raise ValueError("index out of range")
-    return Z.Z[idx].mean(axis=0)

@@ -1,13 +1,82 @@
-"""Ground-truth diagnostics of the group statistic, for the tests only.
+"""Ground truth and oracles for the tests only.
 
-Both need quantities a detector never has (the planted rows, a drawn
-plan), so they live next to the tests that check the paper's
-decomposition arguments rather than in the package.
+The group-statistic diagnostics need quantities a detector never has
+(the planted rows, a drawn plan), so they live next to the tests that
+check the paper's decomposition arguments rather than in the package.
+The rest are direct, slow recomputations that the package's fast paths
+are checked against, and which no product path calls.
 """
 
 import numpy as np
 
+from mipdetect.chi2_fdr import chi2_1_sf
+from mipdetect.robust_stats import MAD_SCALE_FACTOR
 from mipdetect.subsample import SubsetPlan
+
+
+def robust_location_scale(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Z before scaling, mu_x, sigma_x) of robust standardization by np.median.
+
+    Whole-matrix np.median calls, whose bytes the package's block-wise
+    median selection must reproduce.
+    """
+    mu_x = np.median(X, axis=0)
+    centered = X - mu_x
+    sigma_x = MAD_SCALE_FACTOR * np.median(np.abs(centered), axis=0)
+    return centered, mu_x, sigma_x
+
+
+def marginal_correlation(Z, S) -> np.ndarray:
+    """Marginal-correlation estimate based on the observations in S.
+
+    Component j is the mean of Z[t, j] over t in S. With S = all rows and
+    sample-mode standardization this is the usual vector of sample
+    correlations between the response and each predictor.
+    """
+    idx = np.asarray(S, dtype=np.intp)
+    if idx.size == 0:
+        raise ValueError("marginal_correlation over an empty index set")
+    if idx.min() < 0 or idx.max() >= Z.n:
+        raise ValueError("index out of range")
+    return Z.Z[idx].mean(axis=0)
+
+
+def him_statistic(Z, k: int) -> float:
+    """n^2 * D_k of the leave-one-out measure for a single observation."""
+    n = Z.n
+    if n < 3:
+        raise ValueError("need at least 3 observations")
+    if not (0 <= k < n):
+        raise ValueError("observation index out of range")
+    colsum = Z.Z.sum(axis=0)
+    a = (n * Z.Z[k] - colsum) / (n - 1)
+    return float(np.mean(a * a))
+
+
+def chi2_1_quantile(level: float) -> float:
+    """Quantile of chi-square(1): the t with P(chi2(1) <= t) = level.
+
+    Solved by bisection on the survival function; the returned point has
+    |sf(t) - (1 - level)| <= 1e-12 or brackets it to machine width.
+    """
+    level = float(level)
+    if not (0.0 < level < 1.0):
+        raise ValueError("level must be strictly inside (0, 1)")
+    target = 1.0 - level
+    lo, hi = 0.0, 1.0
+    while chi2_1_sf(hi) > target:
+        hi *= 2.0
+        if hi > 1e8:  # sf underflows long before this
+            break
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if chi2_1_sf(mid) > target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def point_energy(Z, k: int) -> float:

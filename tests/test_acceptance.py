@@ -19,7 +19,6 @@ from mipdetect import (
     ScenarioSpec,
     checking_step,
     gen_scenario,
-    him_statistic,
     standardize,
 )
 from mipdetect.chi2_fdr import bh_select, chi2_1_sf
@@ -27,7 +26,7 @@ from mipdetect.cli import main as cli_main
 from mipdetect.simbench import _lasso_path, default_lambda_grid
 from mipdetect.subsample import draw_subsets, group_statistic, subset_size
 
-from ground_truth import oracle_decomposition, point_energy
+from ground_truth import him_statistic, oracle_decomposition, point_energy
 
 CHI2_95 = 3.8415  # 0.95 quantile of chi-square(1)
 

@@ -424,7 +424,7 @@ def test_unusable_inputs_exit_2(tmp_path, monkeypatch):
         (["detect", write_text(tmp_path, "ff.csv", "y,x1,x2\n1,2,3\n4,5\x0c,6\n7,8,9\n1,2,1\n"), *outs],
          "row 3: expected 3 columns, found 2"),
         (["detect", write_text(tmp_path, "us.csv", "y,x1,x2\n1,2,3\n4,5\x1f,6\n7,8,9\n1,2,1\n"), *outs],
-         "row 3, column 2: could not parse"),
+         "row 3, column 2: could not parse '5\\x1f' as a number"),
         (["detect", write_text(tmp_path, "wide.csv", "y,x1\n1,2,3\n4,5,6\n7,8,9\n1,2,1\n"), *outs],
          "row 2: expected 2 columns, found 3"),
         (["detect", write_text(tmp_path, "nan.csv", "y,x1,x2\n1,2,3\n4,nan,6\n7,8,9\n1,2,1\n"), *outs],

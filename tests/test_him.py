@@ -8,11 +8,11 @@ from mipdetect import (
     chi2_1_sf,
     him_detect,
     him_scores,
-    him_statistic,
-    marginal_correlation,
     standardize,
 )
 from mipdetect.robust_stats import InfluenceMatrix
+
+from ground_truth import him_statistic, marginal_correlation
 
 
 def influence_from(Z: np.ndarray) -> InfluenceMatrix:

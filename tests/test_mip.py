@@ -19,7 +19,6 @@ from mipdetect import (
     gen_scenario,
     him_detect,
     him_scores,
-    marginal_correlation,
     max_detect,
     min_max_clean_set,
     min_multiround_detect,
@@ -29,6 +28,8 @@ from mipdetect import (
 from mipdetect.chi2_fdr import bh_select, chi2_1_sf_vec
 from mipdetect.robust_stats import InfluenceMatrix
 from mipdetect.subsample import min_max_sweep, subset_size
+
+from ground_truth import marginal_correlation
 
 
 def influence_from(Z: np.ndarray) -> InfluenceMatrix:

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from mipdetect import Dataset, DegenerateColumnError, EstimatorMode, marginal_correlation, standardize
-from mipdetect.robust_stats import MAD_SCALE_FACTOR, mad_scale, median
+from mipdetect import Dataset, DegenerateColumnError, EstimatorMode, standardize
+from mipdetect.robust_stats import _BLOCK_BYTES, MAD_SCALE_FACTOR, mad_scale, median
+
+from ground_truth import marginal_correlation, robust_location_scale
 
 
 def random_dataset(rng, n, p):
@@ -204,6 +208,75 @@ def test_majority_constant_column_breaks_only_the_robust_mode():
     with pytest.raises(DegenerateColumnError):
         standardize(d2, EstimatorMode.ROBUST)
     standardize(d2, EstimatorMode.SAMPLE)
+
+
+def _column_draw(rng, kind, n, p):
+    """An n-by-p matrix of one kind, redrawn column by column until no MAD is 0."""
+    X = np.empty((n, p))
+    todo = np.arange(p)
+    while todo.size:
+        if kind == "normal":
+            X[:, todo] = rng.standard_normal((n, todo.size))
+        elif kind == "ties":
+            X[:, todo] = rng.integers(-3, 4, (n, todo.size))
+        else:
+            # the middle order statistics are zeros of both signs
+            k = max(2, n // 3)
+            neg = (n - k) // 2
+            for j in todo:
+                zeros = np.where(rng.random(k) < 0.5, -0.0, 0.0)
+                zeros[:2] = (-0.0, 0.0)
+                col = np.concatenate([-rng.integers(1, 4, neg), zeros, rng.integers(1, 4, n - k - neg)])
+                X[:, j] = rng.permutation(col)
+        todo = todo[robust_location_scale(X[:, todo])[2] == 0.0]
+    return X
+
+
+def _block_width(n):
+    return _BLOCK_BYTES // (8 * n)
+
+
+@pytest.mark.parametrize("kind", ["normal", "ties", "signed_zeros"])
+@pytest.mark.parametrize(
+    "n, p",
+    [(4, 1), (5, 3), (6, 7), (7, 1), (30, 40), (101, 9), (513, 3), (1000, 2)]
+    + [(n, _block_width(n) + dp) for n in (100, 101) for dp in (-1, 0, 1)]
+    + [(n, 3 * _block_width(n) + 5) for n in (257, 1000)],
+)
+def test_robust_standardize_matches_the_np_median_oracle_byte_for_byte(kind, n, p):
+    rng = np.random.default_rng(n * 1000 + p)
+    X = _column_draw(rng, kind, n, p)
+    y = _column_draw(rng, kind, n, 1)[:, 0]
+    got = standardize(Dataset(y=y, X=X), EstimatorMode.ROBUST)
+
+    centered_y, mu_y, sigma_y = robust_location_scale(y[:, None])
+    centered, mu_x, sigma_x = robust_location_scale(X)
+    want = centered / sigma_x * (centered_y / sigma_y)
+    if kind == "signed_zeros":
+        assert np.signbit(X[X == 0.0]).any() and not np.signbit(X[X == 0.0]).all()
+    assert got.Z.tobytes() == want.tobytes()
+    assert got.mu_x.tobytes() == mu_x.tobytes()
+    assert got.sigma_x.tobytes() == sigma_x.tobytes()
+    assert np.float64(got.mu_y).tobytes() == mu_y.tobytes()
+    assert np.float64(got.sigma_y).tobytes() == sigma_y.tobytes()
+    for j in range(min(p, 5)):
+        v = X[:, j].copy()
+        _, mu, sigma = robust_location_scale(v[:, None])
+        assert np.float64(median(v)).tobytes() == mu.tobytes()
+        assert np.float64(mad_scale(v)).tobytes() == sigma.tobytes()
+        assert v.tobytes() == X[:, j].tobytes()  # the input is not reordered
+
+
+def test_robust_standardize_peaks_at_z_plus_one_block():
+    rng = np.random.default_rng(41)
+    d = random_dataset(rng, 1000, 2000)
+    tracemalloc.start()
+    try:
+        Z = standardize(d, EstimatorMode.ROBUST)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= Z.Z.nbytes + 4_000_000, (peak, Z.Z.nbytes)
 
 
 # ---------------------------------------------------------------------------

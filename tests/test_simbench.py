@@ -9,7 +9,6 @@ from mipdetect import (
     MipConfig,
     ScenarioKind,
     ScenarioSpec,
-    chi2_1_quantile,
     gen_scenario,
     him_detect,
     run_experiment,
@@ -34,7 +33,7 @@ from mipdetect.simbench import (
 )
 from mipdetect.subsample import draw_subsets, group_statistic, subset_size
 
-from ground_truth import oracle_decomposition
+from ground_truth import chi2_1_quantile, oracle_decomposition
 
 import mipdetect.simbench as simbench
 

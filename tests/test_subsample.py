@@ -6,7 +6,6 @@ from mipdetect import (
     EstimatorMode,
     draw_subsets,
     group_statistic,
-    marginal_correlation,
     min_max_sweep,
     standardize,
     subset_size,
@@ -15,7 +14,7 @@ from mipdetect.chi2_fdr import chi2_1_sf, chi2_1_sf_vec
 from mipdetect.robust_stats import InfluenceMatrix
 from mipdetect.subsample import _SHARED_KEY_SLOT, _SHARED_OVERDRAW, _draw, _stream_key
 
-from ground_truth import point_energy
+from ground_truth import marginal_correlation, point_energy
 
 
 def influence_from(Z: np.ndarray) -> InfluenceMatrix:
