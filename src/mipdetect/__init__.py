@@ -44,7 +44,6 @@ from .simbench import (
 from .subsample import (
     SubsetPlan,
     draw_subsets,
-    group_statistic,
     min_max_sweep,
     subset_size,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "run_experiment",
     "SubsetPlan",
     "draw_subsets",
-    "group_statistic",
     "min_max_sweep",
     "subset_size",
 ]

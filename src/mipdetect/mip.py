@@ -16,7 +16,7 @@ import numpy as np
 
 from .chi2_fdr import bh_select, chi2_1_sf_vec
 from .robust_stats import Dataset, EstimatorMode, InfluenceMatrix, standardize
-from .subsample import min_max_sweep, subset_size
+from .subsample import _scores, min_max_sweep, subset_size
 
 
 class DegenerateShrinkageError(RuntimeError):
@@ -142,11 +142,17 @@ def _is_workable(n_active: int, n_sub: int) -> bool:
     return n_sub >= 3 and n_active >= n_sub + 2
 
 
-def _workable(n_active: int, n_sub: int, round_no: int) -> None:
-    if not _is_workable(n_active, n_sub):
+def _sweep(Z: InfluenceMatrix, active, cfg: MipConfig, round_id: int, round_no: int):
+    """(t_min, t_max) over ``active`` at cfg's subset size, stream round ``round_id``."""
+    n_U, n_sub = active.size, subset_size(active.size, cfg.k_sub)
+    if not _is_workable(n_U, n_sub):
         raise DegenerateShrinkageError(
-            f"round {round_no}: working set of {n_active} cannot support subsets of size {n_sub}"
+            f"round {round_no}: working set of {n_U} cannot support subsets of size {n_sub}"
         )
+    return min_max_sweep(
+        Z, active, cfg.m, n_sub, cfg.seed, round_id,
+        threads=cfg.threads, shared=cfg.shared_subsets,
+    )
 
 
 def _check_sample_size(n: int, k_sub: float) -> None:
@@ -187,12 +193,7 @@ def min_max_clean_set(Z: InfluenceMatrix, cfg: MipConfig) -> CleanSetResult:
 
     _check_sample_size(n, cfg.k_sub)
     for round_no in range(1, cfg.max_rounds + 1):
-        n_sub = subset_size(S.size, cfg.k_sub)
-        _workable(S.size, n_sub, round_no)
-        t_min, t_max = min_max_sweep(
-            Z, S, cfg.m, n_sub, cfg.seed, sweep_no,
-            threads=cfg.threads, shared=cfg.shared_subsets,
-        )
+        t_min, t_max = _sweep(Z, S, cfg, sweep_no, round_no)
         sweep_no += 1
         if first_t_min is None:
             first_t_min, first_t_max = t_min, t_max
@@ -203,12 +204,7 @@ def min_max_clean_set(Z: InfluenceMatrix, cfg: MipConfig) -> CleanSetResult:
         if hits.size:
             removed.append((round_no, "min", S[hits].copy()))
             S = np.delete(S, hits)
-            n_sub2 = subset_size(S.size, cfg.k_sub)
-            _workable(S.size, n_sub2, round_no)
-            _, t_max2 = min_max_sweep(
-                Z, S, cfg.m, n_sub2, cfg.seed, sweep_no,
-                threads=cfg.threads, shared=cfg.shared_subsets,
-            )
+            _, t_max2 = _sweep(Z, S, cfg, sweep_no, round_no)
             sweep_no += 1
         else:
             # working set unchanged: the same draws carry the Max-Step
@@ -243,10 +239,22 @@ def min_max_clean_set(Z: InfluenceMatrix, cfg: MipConfig) -> CleanSetResult:
 # ---------------------------------------------------------------------------
 
 
-def _checking_stats(Z: InfluenceMatrix, clean: np.ndarray, suspects: np.ndarray) -> np.ndarray:
-    ref = Z.Z[clean].mean(axis=0)
-    diff = Z.Z[suspects] - ref
-    return np.einsum("ij,ij->i", diff, diff) / Z.p
+def _checking_stats(Z: InfluenceMatrix, clean: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Checking statistic of each of ``rows`` against the clean set without that row.
+
+    The clean set is one more subset, scored from the Gram matrix like
+    the sweep's: with R = K 1_c, a row outside it has q = <R, 1_c> and
+    g = R_i over s = |c|; a member leaves itself out, so its q loses
+    2 R_i - K_ii, its g loses K_ii and its s is |c| - 1.
+    """
+    K = Z.gram
+    w = np.zeros(Z.n)
+    w[clean] = 1.0
+    R = K @ w
+    K_ii = K.diagonal()[rows]
+    inside = w[rows]
+    q = R @ w - inside * (2.0 * R[rows] - K_ii)
+    return _scores(q, R[rows] - inside * K_ii, K_ii, clean.size - inside, Z.p)
 
 
 def checking_step(Z: InfluenceMatrix, S_c, alpha0: float = 0.05) -> DetectionReport:
@@ -284,17 +292,7 @@ def checking_statistics_all(Z: InfluenceMatrix, S_c) -> np.ndarray:
     clean = np.unique(np.asarray(S_c, dtype=np.int64))
     if clean.size < 2:
         raise ValueError("need at least two clean observations")
-    out = np.empty(Z.n)
-    mask = np.zeros(Z.n, dtype=bool)
-    mask[clean] = True
-    outside = np.flatnonzero(~mask)
-    if outside.size:
-        out[outside] = _checking_stats(Z, clean, outside)
-    csum = Z.Z[clean].sum(axis=0)
-    ref = (csum[None, :] - Z.Z[clean]) / (clean.size - 1)
-    diff = Z.Z[clean] - ref
-    out[clean] = np.einsum("ij,ij->i", diff, diff) / Z.p
-    return out
+    return _checking_stats(Z, clean, np.arange(Z.n))
 
 
 # ---------------------------------------------------------------------------
@@ -321,11 +319,7 @@ def mip_detect(d: Dataset, cfg: MipConfig = MipConfig()) -> DetectionReport:
 def max_detect(Z: InfluenceMatrix, cfg: MipConfig = MipConfig()) -> DetectionReport:
     """Single-pass detector on T_max with BH at alpha0."""
     _check_sample_size(Z.n, cfg.k_sub)
-    n_sub = subset_size(Z.n, cfg.k_sub)
-    t_min, t_max = min_max_sweep(
-        Z, np.arange(Z.n), cfg.m, n_sub, cfg.seed, 0,
-        threads=cfg.threads, shared=cfg.shared_subsets,
-    )
+    t_min, t_max = _sweep(Z, np.arange(Z.n), cfg, 0, 1)
     pvals = chi2_1_sf_vec(t_max)
     records = report_records(
         Z.n, bh_select(pvals, cfg.alpha0).rejected,
@@ -349,12 +343,7 @@ def min_multiround_detect(Z: InfluenceMatrix, cfg: MipConfig = MipConfig()) -> D
 
     _check_sample_size(n, cfg.k_sub)
     for round_no in range(1, cfg.max_rounds + 1):
-        n_sub = subset_size(U.size, cfg.k_sub)
-        _workable(U.size, n_sub, round_no)
-        t_min, t_max = min_max_sweep(
-            Z, U, cfg.m, n_sub, cfg.seed, round_no - 1,
-            threads=cfg.threads, shared=cfg.shared_subsets,
-        )
+        t_min, t_max = _sweep(Z, U, cfg, round_no - 1, round_no)
         rounds_used = round_no
         pvals = chi2_1_sf_vec(t_min)
         if first_t_min is None:

@@ -9,8 +9,9 @@ plain moments and median/MAD.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -81,6 +82,10 @@ class InfluenceMatrix:
     yhat[t] = (y[t] - mu_y) / sigma_y. The mean of Z rows over an index
     set S equals the marginal-correlation estimate based on S (under the
     fixed full-sample standardization).
+
+    Every subset statistic depends on Z only through p and the n x n
+    Gram matrix K = Z Z^T (``gram``), formed on first use and kept: 8n^2
+    bytes, taken once per sample. Z must not change after that.
     """
 
     Z: np.ndarray
@@ -98,6 +103,10 @@ class InfluenceMatrix:
     @property
     def p(self) -> int:
         return self.Z.shape[1]
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        return self.Z @ self.Z.T
 
 
 # ---------------------------------------------------------------------------

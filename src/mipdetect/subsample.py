@@ -18,12 +18,14 @@ sample. ``_draw`` is the only place that happens.
 
 One kernel: with q the squared norm of a subset's column sum and g its
 inner product with Z_k, the statistic is p^{-1} (q/s^2 - 2g/s + K_kk) with
-K = Z_U Z_U^T, so a subset costs O(n_U), not O(p), once inner products
-exist (``_scores``). Private draws take q = <R_r, W_r> and g = R[r, k]
-from R = W @ K over their indicator rows W. The shared pool, drawn once
-from a reserved target slot, takes C = member @ Z_U, G = C @ Z_U^T and
-q = ||C_r||^2 in a few BLAS calls; each target scores the first m pooled
-subsets that exclude it, or its private draws if the pool has too few.
+K = Z Z^T, so a subset costs O(n_U), not O(p), once K exists (``_scores``).
+K is formed once per sample (``InfluenceMatrix.gram``) and a sweep takes
+the working set's block K_U of it. Private draws and the shared pool both
+score 0/1 indicator rows W against K_U (``_subset_scores``): R = W @ K_U,
+q = <R_r, W_r> and g = R[r, k]. They differ only in where the rows come
+from: m streams of the target's own, or one pool drawn from a reserved
+target slot, of which each target scores the first m subsets that exclude
+it, or its private draws if the pool has too few.
 """
 
 from __future__ import annotations
@@ -160,32 +162,6 @@ def draw_subsets(active, k: int, m: int, n_sub: int, seed: int, round_id: int = 
 # ---------------------------------------------------------------------------
 
 
-def group_statistic(Z: InfluenceMatrix, A_r, k: int, n_sub: int) -> float:
-    """Group-deletion statistic n_sub^2 * D_{r,k} for one subset.
-
-    Computed in the incremental form p^{-1} || colsum(A_r)/(n_sub-1) - Z_k ||^2,
-    which is algebraically identical to comparing the marginal-correlation
-    estimates with and without the target.
-    """
-    idx = np.asarray(A_r, dtype=np.int64)
-    if n_sub < 2 or idx.size != n_sub - 1:
-        raise ValueError("subset must have n_sub - 1 indices")
-    if np.unique(idx).size != idx.size:
-        raise ValueError("subset indices must be distinct")
-    if (idx == k).any():
-        raise ValueError("subset must not contain the target")
-    if not (0 <= k < Z.n):
-        raise ValueError("target index out of range")
-    diff = Z.Z[idx].sum(axis=0) / (n_sub - 1) - Z.Z[k]
-    return float(np.mean(diff * diff))
-
-
-def _chunk_targets(m: int, n_U: int) -> int:
-    # each of a worker's (targets*m, n_U) buffers (uniforms, partition indices,
-    # shifted picks, W, R) stays near 4 MB
-    return max(1, min(64, 500_000 // max(1, m * n_U)))
-
-
 def _scores(q: np.ndarray, g: np.ndarray, K_kk, s: int, p: int) -> np.ndarray:
     """p^{-1} (q/s^2 - 2g/s + K_kk): a squared norm, so round-off below 0 is clamped."""
     stats = (q / s - 2.0 * g) / s + K_kk
@@ -194,18 +170,17 @@ def _scores(q: np.ndarray, g: np.ndarray, K_kk, s: int, p: int) -> np.ndarray:
     return stats
 
 
-def _private_stats(K, av, positions, m, s, seed, round_id, p) -> np.ndarray:
-    """(len(positions), m) statistics of each target's own m subsets."""
-    nt, n_U = positions.size, K.shape[0]
-    pick = _draw(seed, av[positions], round_id, m, n_U - 1, s)
-    # eligible position q maps to working-set position q + (q >= target)
-    tpos = np.repeat(positions, m)
-    pick += pick >= tpos[:, None]
-    W = _indicator(pick, n_U)
-    # one product per target, so a target's bits never depend on its block
-    R = (W.reshape(nt, m, n_U) @ K).reshape(nt * m, n_U)
+def _subset_scores(W, K, batch, rows, targets, s, p) -> np.ndarray:
+    """Statistics of the indicator rows ``W[rows[i]]`` against target position ``targets[i]``.
+
+    R = W @ K is taken ``batch`` rows per product, so that a row's bits
+    never depend on the block it is scored in. The result has the shape
+    of ``rows``.
+    """
+    R = (W.reshape(-1, batch, W.shape[1]) @ K).reshape(W.shape)
     q = np.einsum("ij,ij->i", R, W)
-    return _scores(q, R[np.arange(nt * m), tpos], K.diagonal()[tpos], s, p).reshape(nt, m)
+    r, k = rows.ravel(), np.repeat(targets, rows.shape[1])
+    return _scores(q[r], R[r, k], K.diagonal()[k], s, p).reshape(rows.shape)
 
 
 def min_max_sweep(
@@ -233,8 +208,7 @@ def min_max_sweep(
     s = n_sub - 1
     if not 1 <= s <= n_U - 1:
         raise ValueError("subset size out of range for this working set")
-    Zu = np.ascontiguousarray(Z.Z[av])
-    p = Zu.shape[1]
+    K = Z.gram[np.ix_(av, av)]
 
     if targets is None:
         positions = np.arange(n_U)
@@ -254,26 +228,26 @@ def min_max_sweep(
     if shared:
         M = int(math.ceil(_SHARED_OVERDRAW * m))
         member = _indicator(_draw(seed, [_SHARED_KEY_SLOT], round_id, M, n_U, s), n_U)
-        avail = member[:, positions] == 0.0
-        C = member @ Zu
-        del member  # free each pooled buffer once its products are taken
-        q = np.einsum("ij,ij->i", C, C)
-        G = C @ Zu.T
-        del C
         # rank each target's usable (excluding) pooled rows; serve those with m
+        avail = member[:, positions] == 0.0
         rank = np.cumsum(avail, axis=0)
         served = rank[-1] >= m
         rows = np.nonzero((avail & (rank <= m))[:, served].T)[1].reshape(-1, m)
-        ps = positions[served][:, None]
-        K_kk = np.einsum("ij,ij->i", Zu, Zu)[ps]
-        emit(np.flatnonzero(served), _scores(q[rows], G[rows, ps], K_kk, s, p))
+        stats = _subset_scores(member, K, M, rows, positions[served], s, Z.p)
+        emit(np.flatnonzero(served), stats)
         private = np.flatnonzero(~served)
-    K = Zu @ Zu.T if private.size else None
 
     def private_block(idx):
-        emit(idx, _private_stats(K, av, positions[idx], m, s, seed, round_id, p))
+        tpos = positions[idx]
+        pick = _draw(seed, av[tpos], round_id, m, n_U - 1, s)
+        # eligible position q maps to working-set position q + (q >= target)
+        pick += pick >= np.repeat(tpos, m)[:, None]
+        rows = np.arange(idx.size * m).reshape(-1, m)
+        emit(idx, _subset_scores(_indicator(pick, n_U), K, m, rows, tpos, s, Z.p))
 
-    chunk = _chunk_targets(m, n_U)
+    # each of a worker's (targets*m, n_U) buffers (uniforms, partition indices,
+    # shifted picks, W, R) stays near 4 MB
+    chunk = max(1, min(64, 500_000 // max(1, m * n_U)))
     blocks = [private[lo:lo + chunk] for lo in range(0, private.size, chunk)]
     if threads and threads > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

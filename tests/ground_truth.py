@@ -79,6 +79,27 @@ def chi2_1_quantile(level: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def group_statistic(Z, A_r, k: int, n_sub: int) -> float:
+    """Group-deletion statistic n_sub^2 * D_{r,k} for one subset.
+
+    Computed directly as p^{-1} || colsum(A_r)/(n_sub-1) - Z_k ||^2, which
+    is algebraically identical to comparing the marginal-correlation
+    estimates with and without the target; the package's sweeps score
+    the same quantity from inner products.
+    """
+    idx = np.asarray(A_r, dtype=np.int64)
+    if n_sub < 2 or idx.size != n_sub - 1:
+        raise ValueError("subset must have n_sub - 1 indices")
+    if np.unique(idx).size != idx.size:
+        raise ValueError("subset indices must be distinct")
+    if (idx == k).any():
+        raise ValueError("subset must not contain the target")
+    if not (0 <= k < Z.n):
+        raise ValueError("target index out of range")
+    diff = Z.Z[idx].sum(axis=0) / (n_sub - 1) - Z.Z[k]
+    return float(np.mean(diff * diff))
+
+
 def point_energy(Z, k: int) -> float:
     """Standalone signal of observation k: p^{-1} || Z_k ||^2."""
     if not (0 <= k < Z.n):

@@ -24,9 +24,9 @@ from mipdetect import (
 from mipdetect.chi2_fdr import bh_select, chi2_1_sf
 from mipdetect.cli import main as cli_main
 from mipdetect.simbench import _lasso_path, default_lambda_grid
-from mipdetect.subsample import draw_subsets, group_statistic, subset_size
+from mipdetect.subsample import draw_subsets, subset_size
 
-from ground_truth import him_statistic, oracle_decomposition, point_energy
+from ground_truth import group_statistic, him_statistic, oracle_decomposition, point_energy
 
 CHI2_95 = 3.8415  # 0.95 quantile of chi-square(1)
 

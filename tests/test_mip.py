@@ -1,7 +1,10 @@
+import contextlib
 import dataclasses
 import hashlib
 import importlib.util
+import inspect
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -261,6 +264,15 @@ def test_checking_statistic_matches_two_set_recomputation():
         got = report.records.checking_stat[i]
         assert abs(got - oracle) <= 1e-10 * max(1.0, abs(oracle))
 
+    # clean members are tested against the clean set without themselves
+    everywhere = checking_statistics_all(Z, clean)
+    for i in range(15):
+        ref = clean[clean != i]
+        rho_ref = marginal_correlation(Z, ref)
+        rho_aug = marginal_correlation(Z, np.append(ref, i))
+        oracle = (ref.size + 1) ** 2 * float(np.sum((rho_aug - rho_ref) ** 2)) / Z.p
+        assert abs(everywhere[i] - oracle) <= 1e-10 * max(1.0, abs(oracle))
+
 
 def test_checking_validates_clean_set():
     Z = influence_from(np.eye(5))
@@ -497,14 +509,21 @@ def test_every_producer_fills_one_column_per_field(name):
         assert np.array_equal(np.isnan(rec[f]), expect), f
 
 
+def load_perfbench(name, monkeypatch):
+    """perfbench/<name>.py as a module, with perfbench/ importable as its siblings see it."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", bench / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look themselves up
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_verdict_reads_a_shared_pool_report(monkeypatch):
     # perfbench/run.py's verdict walks report.records row by row; a report
     # change that breaks it would fail every in-process benchmark op
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
-    spec = importlib.util.spec_from_file_location("perfbench_run", path)
-    run = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look themselves up
-    spec.loader.exec_module(run)
+    run = load_perfbench("run", monkeypatch)
 
     report = mip_detect(small_contaminated().data, MipConfig(m=50, seed=0, shared_subsets=True))
     got = run.verdict(report)
@@ -513,3 +532,48 @@ def test_benchmark_verdict_reads_a_shared_pool_report(monkeypatch):
     rec = report.records
     values = np.column_stack((rec.t_min, rec.t_max, rec.checking_stat, rec.p_value))
     assert got["values_sha256"] == hashlib.sha256(values.tobytes()).hexdigest()
+
+
+def test_benchmark_trace_targets_resolve(monkeypatch):
+    # the traced benchmark wraps these module attributes by name and reads
+    # the sweep's arguments by position; a rename would break --trace 1
+    layers = load_perfbench("layers", monkeypatch)
+    for module, attr, _, _ in layers.TARGETS:
+        assert hasattr(importlib.import_module(module), attr), (module, attr)
+
+    class Tracer:
+        def span(self, name, **notes):
+            return contextlib.nullcontext()
+
+    Z = standardize(small_contaminated().data)
+    for shared in (False, True):
+        args = (Z, np.arange(Z.n), 20, subset_size(Z.n, 0.5), 7, 0)
+        kwargs = {"targets": None, "shared": shared}
+        bound = inspect.signature(min_max_sweep).bind(*args, **kwargs)
+        assert list(bound.arguments)[:6] == ["Z", "active", "m", "n_sub", "seed", "round_id"]
+        probe = layers.SweepProbe()
+        note = probe.note(args, kwargs, min_max_sweep(*args, **kwargs))
+        assert note["targets"] == Z.n and note["gflop"] > 0
+        # only a private sweep is replayed, through draw_subsets
+        assert (probe.args is None) == shared
+        probe.run(Tracer())
+
+
+def test_shared_detect_memory_is_z_plus_two_gram_blocks():
+    """Beyond Z, a shared-pool detect holds K = Z Z^T, one block of it and small buffers."""
+    rng = np.random.default_rng(9)
+    n, p = 1000, 5000
+    X = rng.standard_normal((n, p))
+    X[:20] += 3.0
+    y = rng.standard_normal(n)
+    y[:20] += 8.0
+    d = Dataset(y=y, X=X)
+    tracemalloc.start()
+    try:
+        report = mip_detect(d, MipConfig(shared_subsets=True, threads=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.flagged().size > 0
+    bound = X.nbytes + 2 * 8 * n * n + 16_000_000
+    assert peak <= bound, (peak, bound)

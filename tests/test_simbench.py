@@ -31,9 +31,9 @@ from mipdetect.simbench import (
     gen_example2,
     lasso_fit,
 )
-from mipdetect.subsample import draw_subsets, group_statistic, subset_size
+from mipdetect.subsample import draw_subsets, subset_size
 
-from ground_truth import chi2_1_quantile, oracle_decomposition
+from ground_truth import chi2_1_quantile, group_statistic, oracle_decomposition
 
 import mipdetect.simbench as simbench
 

@@ -5,7 +5,6 @@ from mipdetect import (
     Dataset,
     EstimatorMode,
     draw_subsets,
-    group_statistic,
     min_max_sweep,
     standardize,
     subset_size,
@@ -14,7 +13,7 @@ from mipdetect.chi2_fdr import chi2_1_sf, chi2_1_sf_vec
 from mipdetect.robust_stats import InfluenceMatrix
 from mipdetect.subsample import _SHARED_KEY_SLOT, _SHARED_OVERDRAW, _draw, _stream_key
 
-from ground_truth import marginal_correlation, point_energy
+from ground_truth import group_statistic, marginal_correlation, point_energy
 
 
 def influence_from(Z: np.ndarray) -> InfluenceMatrix:
