@@ -42,7 +42,6 @@ from .simbench import (
     run_experiment,
 )
 from .subsample import (
-    SubsetPlan,
     draw_subsets,
     min_max_sweep,
     subset_size,
@@ -83,7 +82,6 @@ __all__ = [
     "gen_scenario",
     "lasso_fit",
     "run_experiment",
-    "SubsetPlan",
     "draw_subsets",
     "min_max_sweep",
     "subset_size",

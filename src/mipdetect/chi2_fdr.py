@@ -26,9 +26,6 @@ class PValueSet:
             raise ValueError("p-values must lie in [0, 1]")
         object.__setattr__(self, "values", v)
 
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
 
 @dataclass(frozen=True)
 class BhResult:

@@ -37,7 +37,7 @@ from .mip import (
     mip_detect,
 )
 from .robust_stats import Dataset, DegenerateColumnError, EstimatorMode, standardize
-from .simbench import KNOWN_METHODS, MetricRow, ScenarioKind, ScenarioSpec, run_experiment
+from .simbench import MetricRow, ScenarioKind, ScenarioSpec, run_experiment
 
 SCHEMA_VERSION = 2
 
@@ -188,7 +188,8 @@ def load_dataset(path: str, delimiter: str, header_mode: str, response_col: str)
     and non-finite cells (nan, inf, or a value that overflows) raise
     CliError(2) with row/column positions (1-based, header included;
     the first such cell in row-major order), or the 1-based byte offset
-    of the first byte that is not valid UTF-8.
+    of the first byte that is not valid UTF-8. A table with fewer than 4
+    rows raises ValueError from Dataset, which also exits 2.
 
     The file is read once as a stream: each block of bytes goes to the
     SHA-256 as it is read, is decoded as strict UTF-8, and the rows after
@@ -234,10 +235,7 @@ def load_dataset(path: str, delimiter: str, header_mode: str, response_col: str)
     for start in range(0, n, step):
         block = data[start : start + step]
         block[:, rcol:-1] = block[:, rcol + 1 :]
-    try:
-        return Dataset(y=y, X=data[:, :-1]), digest, rcol
-    except ValueError as e:
-        raise CliError(2, str(e)) from e
+    return Dataset(y=y, X=data[:, :-1]), digest, rcol
 
 
 # ---------------------------------------------------------------------------
@@ -358,18 +356,24 @@ def _add_csv_opts(sp: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_report_opts(sp: argparse.ArgumentParser) -> None:
+    """The options a detection report carries, HIM's included."""
+    sp.add_argument("--alpha0", type=float, default=0.05, help="FDR level of the checking step")
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--estimator", choices=("robust", "sample"), default="robust")
+
+
 def _add_mip_opts(sp: argparse.ArgumentParser) -> None:
+    """One option per MipConfig field, each dest named after its field."""
+    _add_report_opts(sp)
     sp.add_argument("--m", type=int, default=100, help="subsets per target (default 100)")
     sp.add_argument(
         "--ksub", dest="k_sub", type=float, default=0.5, help="subset fraction (default 0.5)"
     )
     sp.add_argument("--alpha", type=float, default=0.05, help="per-round Min/Max level")
-    sp.add_argument("--alpha0", type=float, default=0.05, help="FDR level of the checking step")
     sp.add_argument("--c", type=float, default=0.5, help="clean-set fraction threshold")
     sp.add_argument("--l0", type=int, default=None, help="fallback removal count per round")
     sp.add_argument("--max-rounds", type=int, default=20)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--estimator", choices=("robust", "sample"), default="robust")
     sp.add_argument("--shared-subsets", action="store_true")
     sp.add_argument(
         "--threads",
@@ -398,22 +402,9 @@ def _resolve_threads(args) -> int:
 
 
 def _config(args) -> MipConfig:
-    try:
-        return MipConfig(
-            m=args.m,
-            k_sub=args.k_sub,
-            alpha=args.alpha,
-            alpha0=args.alpha0,
-            c=args.c,
-            l0=args.l0,
-            max_rounds=args.max_rounds,
-            seed=args.seed,
-            estimator=EstimatorMode(args.estimator),
-            shared_subsets=args.shared_subsets,
-            threads=_resolve_threads(args),
-        )
-    except ValueError as e:
-        raise CliError(2, str(e)) from e
+    values = {f.name: getattr(args, f.name) for f in dataclasses.fields(MipConfig)}
+    values.update(estimator=EstimatorMode(args.estimator), threads=_resolve_threads(args))
+    return MipConfig(**values)
 
 
 def _column_error(e: DegenerateColumnError, rcol: int) -> CliError:
@@ -445,35 +436,37 @@ def cmd_detect(args) -> int:
     return 0
 
 
-def cmd_him(args) -> int:
+def _load_standardized(args):
+    """(standardized CSV data, input sha256); a zero-scale column exits 3 by its CSV position."""
     d, digest, rcol = load_dataset(args.input, args.delimiter, args.header, args.response_col)
-    cfg = _config(args)
-    t0 = time.perf_counter()
     try:
-        Z = standardize(d, cfg.estimator)
+        return standardize(d, EstimatorMode(args.estimator)), digest
     except DegenerateColumnError as e:
         raise _column_error(e, rcol) from e
-    report = him_detect(Z, cfg.alpha0)
-    report.config = dict(report.config, seed=cfg.seed)
+
+
+def cmd_him(args) -> int:
+    if not 0 <= args.seed < 2**64:  # HIM draws nothing, but its manifest names a usable seed
+        raise ValueError("seed must be an integer in [0, 2**64)")
+    t0 = time.perf_counter()
+    Z, digest = _load_standardized(args)
+    report = him_detect(Z, args.alpha0)
+    report.config = dict(report.config, seed=args.seed)
     write_him_outputs(report, digest, args.report, args.flags)
     print(f"him: {time.perf_counter() - t0:.2f}s wall", file=sys.stderr)
     return 0
 
 
 def cmd_plot_data(args) -> int:
-    d, _, rcol = load_dataset(args.input, args.delimiter, args.header, args.response_col)
-    cfg = _config(args)
     t0 = time.perf_counter()
-    try:
-        Z = standardize(d, cfg.estimator)
-    except DegenerateColumnError as e:
-        raise _column_error(e, rcol) from e
+    Z, _ = _load_standardized(args)
+    cfg = _config(args)
     cs = min_max_clean_set(Z, cfg)
     mip_report = checking_step(Z, cs.clean, cfg.alpha0)
 
     p_min = chi2_1_sf_vec(cs.first_t_min)
     p_max = chi2_1_sf_vec(cs.first_t_max)
-    max_flags = np.zeros(d.n, dtype=bool)
+    max_flags = np.zeros(Z.n, dtype=bool)
     max_flags[bh_select(p_max, cfg.alpha0).rejected] = True
     min_flags = min_multiround_detect(Z, cfg).records.influential
     p_check = chi2_1_sf_vec(checking_statistics_all(Z, cs.clean))
@@ -498,7 +491,7 @@ def cmd_plot_data(args) -> int:
                 "influential_max",
                 "influential_min",
             ),
-            zip(range(1, d.n + 1), *(c.tolist() for c in columns)),
+            zip(range(1, Z.n + 1), *(c.tolist() for c in columns)),
         ),
     )
     print(f"plot-data: {time.perf_counter() - t0:.2f}s wall", file=sys.stderr)
@@ -516,22 +509,14 @@ def cmd_simulate(args) -> int:
     if not grid:
         grid = [0.0]
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    for name in methods:
-        if name not in KNOWN_METHODS:
-            raise CliError(2, f"unknown method {name!r}; choose from {', '.join(KNOWN_METHODS)}")
     cfg = _config(args)
-    try:
-        specs = [
-            ScenarioSpec(kind=kind, mu=mu, n=args.n, p=args.p, n_inf=args.n_inf, seed=args.seed)
-            for mu in grid
-        ]
-    except ValueError as e:
-        raise CliError(2, str(e)) from e
+    specs = [
+        ScenarioSpec(kind=kind, mu=mu, n=args.n, p=args.p, n_inf=args.n_inf, seed=args.seed)
+        for mu in grid
+    ]
 
     t0 = time.perf_counter()
-    rows = run_experiment(
-        specs, methods, args.reps, cfg, with_fit=True if args.with_fit else None
-    )
+    rows = run_experiment(specs, methods, args.reps, cfg, with_fit=args.with_fit)
     _write_text(args.out, results_to_csv(rows))
     print(f"simulate: {time.perf_counter() - t0:.2f}s wall", file=sys.stderr)
     return 0
@@ -552,9 +537,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--flags", default="flags.csv", help="per-observation CSV path")
     sp.set_defaults(func=cmd_detect)
 
-    sp = sub.add_parser("him", help="run the leave-one-out baseline detector")
+    # no abbreviations: detect's --alpha would silently set him's --alpha0
+    sp = sub.add_parser("him", help="run the leave-one-out baseline detector", allow_abbrev=False)
     _add_csv_opts(sp)
-    _add_mip_opts(sp)
+    _add_report_opts(sp)
     sp.add_argument("--report", default="report.json")
     sp.add_argument("--flags", default="flags.csv")
     sp.set_defaults(func=cmd_him)

@@ -15,6 +15,7 @@ import numpy as np
 from .chi2_fdr import PValueSet, bh_select, chi2_1_sf_vec
 from .mip import DetectionReport, report_records
 from .robust_stats import InfluenceMatrix
+from .subsample import _scores
 
 
 @dataclass(frozen=True)
@@ -26,15 +27,18 @@ class HimScores:
 def him_scores(Z: InfluenceMatrix) -> HimScores:
     """Leave-one-out statistics for all observations in one pass.
 
-    Uses the closed form n^2 * D_k = p^{-1} || (n Z_k - colsum(Z)) / (n-1) ||^2,
-    an O(np) total instead of n separate deletions.
+    n^2 * D_k = p^{-1} || Z_k - mean of the other rows ||^2: the other
+    n - 1 rows are one more subset, scored like the sweep's from c =
+    colsum(Z), R = Z c and the squared row norms K_kk, in O(np) total and
+    without forming the Gram matrix.
     """
     n = Z.n
     if n < 3:
         raise ValueError("need at least 3 observations")
-    colsum = Z.Z.sum(axis=0)
-    A = (n * Z.Z - colsum) / (n - 1)
-    stats = np.einsum("ij,ij->i", A, A) / Z.p
+    c = Z.Z.sum(axis=0)
+    R = Z.Z @ c
+    K_kk = np.einsum("ij,ij->i", Z.Z, Z.Z)
+    stats = _scores(c @ c - 2.0 * R + K_kk, R - K_kk, K_kk, n - 1, Z.p)
     return HimScores(statistics=stats, pvalues=PValueSet(chi2_1_sf_vec(stats)))
 
 

@@ -10,7 +10,7 @@ checking statistic under BH selection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -67,18 +67,8 @@ class MipConfig:
 
     def echo(self) -> dict:
         """Stable config dictionary for run reports (scheduling excluded)."""
-        return {
-            "m": self.m,
-            "k_sub": self.k_sub,
-            "alpha": self.alpha,
-            "alpha0": self.alpha0,
-            "c": self.c,
-            "l0": self.l0,
-            "max_rounds": self.max_rounds,
-            "seed": self.seed,
-            "estimator": self.estimator.value,
-            "shared_subsets": self.shared_subsets,
-        }
+        values = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "threads"}
+        return dict(values, estimator=self.estimator.value)
 
 
 # One row per observation. ``statistic`` is whatever statistic drove the

@@ -52,8 +52,8 @@ class ScenarioSpec:
             raise ValueError("scenario dimensions too small")
         if self.n_inf < 0 or self.n_inf >= self.n / 2:
             raise ValueError("n_inf must be below n/2")
-        if self.mu < 0:
-            raise ValueError("mu must be nonnegative")
+        if not (math.isfinite(self.mu) and self.mu >= 0):
+            raise ValueError("mu must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -378,7 +378,7 @@ def run_experiment(
     methods,
     reps: int,
     cfg: MipConfig = MipConfig(),
-    with_fit: bool | None = None,
+    with_fit: bool = False,
 ) -> list[MetricRow]:
     """Mean metrics per (scenario, method) over repeated draws.
 
@@ -391,11 +391,12 @@ def run_experiment(
     if reps < 1:
         raise ValueError("need at least one rep")
     methods = list(methods)
+    if not methods:
+        raise ValueError("need at least one method")
     for name in methods:
         if name not in KNOWN_METHODS:
-            raise ValueError(f"unknown method {name!r}; choose from {KNOWN_METHODS}")
-    if with_fit is None:
-        with_fit = "Full" in methods
+            raise ValueError(f"unknown method {name!r}; choose from {', '.join(KNOWN_METHODS)}")
+    with_fit = with_fit or "Full" in methods
 
     specs = list(specs)
     acc = {(spec_idx, name): [] for spec_idx in range(len(specs)) for name in methods}

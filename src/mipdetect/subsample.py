@@ -1,4 +1,4 @@
-"""Random group deletion: subset plans and the min/max subset statistics.
+"""Random group deletion: subset draws and the min/max subset statistics.
 
 For a target observation k and a subset A_r of the other active
 observations, the group statistic is
@@ -10,7 +10,7 @@ that statistic over m independently drawn subsets; under the null both
 are asymptotically chi-square(1).
 
 One draw: every subset comes from a counter-based Philox stream keyed by
-(master seed, target, round, subset id), so any plan can be regenerated
+(master seed, target, round, subset id), so any subset can be regenerated
 in isolation and results never depend on evaluation order or worker
 count. Each stream yields one uniform per eligible observation and the
 subset is the s smallest keys, which is a uniform without-replacement
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,40 +103,12 @@ def subset_size(n_active: int, k_sub: float) -> int:
     return int(math.floor(k_sub * n_active)) + 1
 
 
-# ---------------------------------------------------------------------------
-# subset plans
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SubsetPlan:
-    """m random subsets for one target observation.
-
-    ``subsets`` is an (m, n_sub - 1) array of global row indices, each row
-    sorted, none containing the target. The plan is a pure function of
-    (active set, target, m, n_sub, master_seed, round_id).
-    """
-
-    k: int
-    subsets: np.ndarray
-    master_seed: int
-    round_id: int
-
-    @property
-    def m(self) -> int:
-        return self.subsets.shape[0]
-
-    @property
-    def n_sub(self) -> int:
-        return self.subsets.shape[1] + 1
-
-
-def draw_subsets(active, k: int, m: int, n_sub: int, seed: int, round_id: int = 0) -> SubsetPlan:
+def draw_subsets(active, k: int, m: int, n_sub: int, seed: int, round_id: int = 0) -> np.ndarray:
     """Draw m uniform without-replacement subsets of active minus {k}.
 
-    Each subset has n_sub - 1 distinct indices; subsets are independent
-    across r (replacement across draws). Deterministic given
-    (seed, k, round_id).
+    Returns an (m, n_sub - 1) array of global row indices, each row
+    sorted, none containing k; subsets are independent across rows
+    (replacement across draws). Deterministic given (seed, k, round_id).
     """
     av = np.unique(np.asarray(active, dtype=np.int64))
     pos = int(np.searchsorted(av, k))
@@ -151,10 +122,7 @@ def draw_subsets(active, k: int, m: int, n_sub: int, seed: int, round_id: int = 
         raise ValueError(
             f"subset size {s} impossible with {eligible.size} eligible observations"
         )
-    pick = np.sort(_draw(seed, [k], round_id, m, eligible.size, s), axis=1)
-    return SubsetPlan(
-        k=int(k), subsets=eligible[pick], master_seed=int(seed), round_id=int(round_id)
-    )
+    return eligible[np.sort(_draw(seed, [k], round_id, m, eligible.size, s), axis=1)]
 
 
 # ---------------------------------------------------------------------------

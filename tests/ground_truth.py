@@ -1,7 +1,7 @@
 """Ground truth and oracles for the tests only.
 
 The group-statistic diagnostics need quantities a detector never has
-(the planted rows, a drawn plan), so they live next to the tests that
+(the planted rows, drawn subsets), so they live next to the tests that
 check the paper's decomposition arguments rather than in the package.
 The rest are direct, slow recomputations that the package's fast paths
 are checked against, and which no product path calls.
@@ -11,7 +11,6 @@ import numpy as np
 
 from mipdetect.chi2_fdr import chi2_1_sf
 from mipdetect.robust_stats import MAD_SCALE_FACTOR
-from mipdetect.subsample import SubsetPlan
 
 
 def robust_location_scale(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -109,7 +108,7 @@ def point_energy(Z, k: int) -> float:
 
 
 def oracle_decomposition(
-    Z, truth, k: int, plan: SubsetPlan
+    Z, truth, k: int, subsets: np.ndarray
 ) -> tuple[float, float, float, float]:
     """(E_k, F_min, F_max, J_max) of the group-statistic decomposition.
 
@@ -121,11 +120,10 @@ def oracle_decomposition(
     """
     truth_mask = np.zeros(Z.n, dtype=bool)
     truth_mask[np.asarray(truth, dtype=np.int64)] = True
-    divisor = plan.n_sub - 1
-    f_vals = np.empty(plan.m)
-    j_vals = np.empty(plan.m)
-    for r in range(plan.m):
-        sub = plan.subsets[r]
+    m, divisor = subsets.shape
+    f_vals = np.empty(m)
+    j_vals = np.empty(m)
+    for r, sub in enumerate(subsets):
         inf_rows = sub[truth_mask[sub]]
         clean_rows = sub[~truth_mask[sub]]
         if inf_rows.size:

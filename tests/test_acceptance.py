@@ -294,8 +294,8 @@ def test_acceptance_09_property_suites():
         lab = gen_scenario(spec)
         Z = standardize(lab.data, EstimatorMode.ROBUST)
         k = int(rng.integers(n))
-        plan = draw_subsets(np.arange(n), k, 20, subset_size(n, 0.5), seed=i)
-        _, f_min, f_max, _ = oracle_decomposition(Z, lab.truth, k, plan)
+        subsets = draw_subsets(np.arange(n), k, 20, subset_size(n, 0.5), seed=i)
+        _, f_min, f_max, _ = oracle_decomposition(Z, lab.truth, k, subsets)
         r_inf = n_inf / (n * 0.5)
         max_energy = max(point_energy(Z, int(t)) for t in lab.truth)
         assert f_min <= f_max

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from mipdetect import __version__
-from mipdetect.cli import _add_mip_opts, _cell, load_dataset, main
+from mipdetect.cli import _add_mip_opts, _cell, build_parser, load_dataset, main
 from mipdetect.him import him_detect
 from mipdetect.mip import MipConfig, mip_detect
 from mipdetect.robust_stats import Dataset, EstimatorMode, standardize
@@ -282,6 +282,30 @@ def test_him_matches_library_bit_for_bit(tmp_path, small_csv):
     assert payload["manifest"]["seed"] == 9
 
 
+def test_him_takes_only_the_options_it_reads(tmp_path, small_csv, monkeypatch):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for a in sub.choices["him"]._actions if a.dest != "help"}
+    assert dests == {
+        "input", "delimiter", "header", "response_col",
+        "alpha0", "estimator", "seed", "report", "flags",
+    }
+
+    csv, _ = small_csv
+    outs = lambda tag: ["--report", tmp_path / f"{tag}.json", "--flags", tmp_path / f"{tag}.csv"]
+    for option in ("--m", "--alpha"):  # --alpha is not taken as short for --alpha0
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["him", csv, option, 0.5, *outs("m")])
+        assert exc.value.code == 2
+
+    # him reads no thread count, so a malformed MIP_THREADS is not its concern
+    monkeypatch.delenv("MIP_THREADS", raising=False)
+    assert run_cli(["him", csv, *outs("plain")])[0] == 0
+    monkeypatch.setenv("MIP_THREADS", "lots")
+    assert run_cli(["him", csv, *outs("env")])[0] == 0
+    for suffix in ("json", "csv"):
+        assert (tmp_path / f"env.{suffix}").read_bytes() == (tmp_path / f"plain.{suffix}").read_bytes()
+
+
 def test_detect_matches_library_bit_for_bit(tmp_path, small_csv):
     csv, lab = small_csv
     report_path = tmp_path / "report.json"
@@ -439,14 +463,24 @@ def test_unusable_inputs_exit_2(tmp_path, monkeypatch):
         (["detect", ok, "--threads", 0, *outs], "thread count must be at least 1"),
         (["detect", ok, "--alpha", 1.5, *outs], "alpha and alpha0"),
         (["detect", ok, "--seed", 2**64, *outs], "seed must be an integer in [0, 2**64)"),
+        (["him", ok, "--seed", -1, *outs], "seed must be an integer in [0, 2**64)"),
+        (["him", ok, "--alpha0", 1.0, *outs], "alpha0 must be in (0, 1)"),
         (["simulate", "--example", "1", "--methods", "MIP,Bogus",
           "--out", tmp_path / "s.csv"], "unknown method 'Bogus'"),
+        (["simulate", "--example", "1", "--methods", ",",
+          "--out", tmp_path / "s.csv"], "need at least one method"),
+        *(
+            (["simulate", "--example", "1", "--mu-grid", mu, "--out", tmp_path / "s.csv"],
+             "mu must be finite and nonnegative")
+            for mu in ("nan", "inf", "1e400")
+        ),
     ]
     for argv, fragment in cases:
         code, err = run_cli(argv)
         assert code == 2, argv
         assert fragment in err, (argv, err)
         assert "Error" not in err and "Traceback" not in err, err
+    assert not (tmp_path / "s.csv").exists()  # no header-only table either
 
     monkeypatch.setenv("MIP_THREADS", "lots")
     code, err = run_cli(["detect", ok, *outs])

@@ -56,6 +56,22 @@ def test_closed_form_matches_leave_one_out_recomputation():
         assert abs(got - direct) <= 1e-10 * max(1.0, abs(direct))
 
 
+def test_one_pass_scores_match_the_per_row_statistic():
+    rng = np.random.default_rng(10)
+    X = rng.standard_normal((40, 300))
+    y = X[:, 0] + rng.standard_normal(40)
+    y[:4] += 12.0  # a few rows far from the rest
+    for Z in (
+        standardize(Dataset(y=y, X=X), EstimatorMode.ROBUST),
+        standardize(Dataset(y=y, X=X), EstimatorMode.SAMPLE),
+        influence_from(rng.standard_normal((7, 3)) + 5.0),
+    ):
+        got = him_scores(Z).statistics
+        for k in range(Z.n):
+            want = him_statistic(Z, k)
+            assert abs(got[k] - want) <= 1e-10 * abs(want), (k, got[k], want)
+
+
 def test_adding_a_common_row_offset_changes_nothing():
     rng = np.random.default_rng(6)
     base = rng.standard_normal((12, 5))

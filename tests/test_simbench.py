@@ -429,8 +429,8 @@ def test_decomposition_without_influentials_is_all_background():
     rng = np.random.default_rng(13)
     d = Dataset(y=rng.standard_normal(20), X=rng.standard_normal((20, 6)))
     Z = standardize(d, EstimatorMode.SAMPLE)
-    plan = draw_subsets(np.arange(20), 3, 15, 8, seed=0)
-    E_k, f_min, f_max, j_max = oracle_decomposition(Z, np.empty(0, dtype=np.int64), 3, plan)
+    subsets = draw_subsets(np.arange(20), 3, 15, 8, seed=0)
+    E_k, f_min, f_max, j_max = oracle_decomposition(Z, np.empty(0, dtype=np.int64), 3, subsets)
     assert f_min == 0.0 and f_max == 0.0
     assert E_k > 0.0 and j_max > 0.0
 
@@ -443,14 +443,13 @@ def test_decomposition_replays_group_statistic():
     truth_mask = np.zeros(24, dtype=bool)
     truth_mask[truth] = True
     k = 5
-    plan = draw_subsets(np.arange(24), k, 30, 10, seed=3)
-    divisor = plan.n_sub - 1
-    for r in range(plan.m):
-        sub = plan.subsets[r]
+    subsets = draw_subsets(np.arange(24), k, 30, 10, seed=3)
+    divisor = subsets.shape[1]
+    for sub in subsets:
         w_inf = Z.Z[sub[truth_mask[sub]]].sum(axis=0) / divisor
         w_non = Z.Z[sub[~truth_mask[sub]]].sum(axis=0) / divisor
         combined = float(np.mean((w_inf + w_non - Z.Z[k]) ** 2))
-        direct = group_statistic(Z, sub, k, plan.n_sub)
+        direct = group_statistic(Z, sub, k, divisor + 1)
         assert abs(combined - direct) <= 1e-10 * max(1.0, abs(direct))
 
 
@@ -462,8 +461,8 @@ def test_unmasking_condition_holds_for_planted_rows(ex1_mu7_bundle):
         Z = rep["Z"]
         truth = rep["labeled"].truth
         for k in truth.tolist():
-            plan = draw_subsets(np.arange(100), k, 100, n_sub, seed=0)
-            E_k, f_min, _, _ = oracle_decomposition(Z, truth, k, plan)
+            subsets = draw_subsets(np.arange(100), k, 100, n_sub, seed=0)
+            E_k, f_min, _, _ = oracle_decomposition(Z, truth, k, subsets)
             total += 1
             if math.sqrt(E_k) > threshold + math.sqrt(f_min):
                 held += 1

@@ -68,10 +68,10 @@ def test_subset_size_validates_inputs():
 
 def test_forced_subset_when_only_one_choice_exists():
     active = np.arange(8)
-    plan = draw_subsets(active, k=3, m=5, n_sub=8, seed=0)
+    subsets = draw_subsets(active, k=3, m=5, n_sub=8, seed=0)
     expected = np.array([0, 1, 2, 4, 5, 6, 7])
     for r in range(5):
-        assert np.array_equal(plan.subsets[r], expected)
+        assert np.array_equal(subsets[r], expected)
 
 
 def test_plans_are_deterministic_and_round_scoped():
@@ -79,15 +79,15 @@ def test_plans_are_deterministic_and_round_scoped():
     a = draw_subsets(active, k=7, m=20, n_sub=12, seed=99, round_id=2)
     b = draw_subsets(active, k=7, m=20, n_sub=12, seed=99, round_id=2)
     c = draw_subsets(active, k=7, m=20, n_sub=12, seed=99, round_id=3)
-    assert np.array_equal(a.subsets, b.subsets)
-    assert not np.array_equal(a.subsets, c.subsets)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_plan_rows_are_sorted_distinct_and_exclude_the_target():
     active = np.arange(5, 45)  # non-contiguous ids must survive intact
-    plan = draw_subsets(active, k=11, m=50, n_sub=10, seed=1)
-    assert plan.m == 50 and plan.n_sub == 10
-    for row in plan.subsets:
+    subsets = draw_subsets(active, k=11, m=50, n_sub=10, seed=1)
+    assert subsets.shape == (50, 9)
+    for row in subsets:
         assert np.all(np.diff(row) > 0)
         assert 11 not in row
         assert np.isin(row, active).all()
@@ -105,8 +105,8 @@ def test_plan_validation():
 
 def test_subset_membership_is_uniform():
     active = np.arange(20)
-    plan = draw_subsets(active, k=19, m=10_000, n_sub=11, seed=123)
-    counts = np.bincount(plan.subsets.ravel(), minlength=20)[:19]
+    subsets = draw_subsets(active, k=19, m=10_000, n_sub=11, seed=123)
+    counts = np.bincount(subsets.ravel(), minlength=20)[:19]
     freq = counts / 10_000
     assert np.max(np.abs(freq - 10 / 19)) <= 0.02
 
@@ -223,8 +223,8 @@ def test_min_max_statistics_replay_the_drawn_plan():
     n_sub = subset_size(25, k_sub)
     for k in (0, 7, 24):
         t_min, t_max = one_target(Z, 25, k=k, m=m, seed=seed, k_sub=k_sub)
-        plan = draw_subsets(active, k=k, m=m, n_sub=n_sub, seed=seed, round_id=0)
-        vals = [group_statistic(Z, A, k=k, n_sub=n_sub) for A in plan.subsets]
+        subsets = draw_subsets(active, k=k, m=m, n_sub=n_sub, seed=seed, round_id=0)
+        vals = [group_statistic(Z, A, k=k, n_sub=n_sub) for A in subsets]
         assert abs(t_min - min(vals)) <= 1e-10 * max(1.0, min(vals))
         assert abs(t_max - max(vals)) <= 1e-10 * max(1.0, max(vals))
         assert 0.0 <= t_min <= t_max
