@@ -502,10 +502,12 @@ def cmd_simulate(args) -> int:
     kinds = {"1": ScenarioKind.EXAMPLE1, "2": ScenarioKind.EXAMPLE2, "null": ScenarioKind.NULL}
     kind = kinds[args.example]
     grid: list[float] = []
-    for token in args.mu_grid:
-        for piece in str(token).split(","):
-            if piece.strip():
+    for piece in ",".join(args.mu_grid).split(","):
+        if piece.strip():
+            try:
                 grid.append(float(piece))
+            except ValueError:
+                raise CliError(2, f"--mu-grid: {piece.strip()!r} is not a number") from None
     if not grid:
         grid = [0.0]
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]

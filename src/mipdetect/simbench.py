@@ -48,8 +48,10 @@ class ScenarioSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", ScenarioKind(self.kind))
-        if self.n < 4 or self.p < 1:
-            raise ValueError("scenario dimensions too small")
+        if self.n < 4:
+            raise ValueError("n must be at least 4")
+        if self.p < 1:
+            raise ValueError("p must be at least 1")
         if self.n_inf < 0 or self.n_inf >= self.n / 2:
             raise ValueError("n_inf must be below n/2")
         if not (math.isfinite(self.mu) and self.mu >= 0):

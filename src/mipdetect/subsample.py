@@ -14,7 +14,7 @@ One draw: every subset comes from a counter-based Philox stream keyed by
 in isolation and results never depend on evaluation order or worker
 count. Each stream yields one uniform per eligible observation and the
 subset is the s smallest keys, which is a uniform without-replacement
-sample. ``_draw`` is the only place that happens.
+sample. ``_uniforms`` draws keys and ``_indicators`` selects subsets.
 
 One kernel: with q the squared norm of a subset's column sum and g its
 inner product with Z_k, the statistic is p^{-1} (q/s^2 - 2g/s + K_kk) with
@@ -60,38 +60,51 @@ def _stream_key(seed: int, k: int, round_id: int, r: int) -> int:
     return ((int(seed) & 0xFFFFFFFFFFFFFFFF) << 64) | low
 
 
-def _draw(seed: int, keys, round_id: int, m: int, width: int, s: int) -> np.ndarray:
-    """(len(keys) * m, s) positions in range(width), one unsorted subset per row.
+def _uniforms(seed: int, keys, round_id: int, m: int, width: int, spare: int = 0) -> np.ndarray:
+    """(len(keys) * m, width + spare) buffer of uniforms, key-major, spare columns unset.
 
-    Row r of key k holds the s smallest of ``width`` uniforms from stream
-    (seed, k, round_id, r); rows are ordered key-major. A Philox stream is
-    fixed by its key alone, so one bit generator per call is re-keyed for
-    every row instead of building a new one; it is local to the call
-    because sweep blocks run on a thread pool.
+    Row r of key k opens with ``width`` uniforms of stream (seed, k, round_id, r). One bit
+    generator is re-keyed per row through a dict of plain lists, which the setter reads fastest.
     """
+    # subset ids run 0..m-1, so the last one's key range-checks every row of k
+    lows = [_stream_key(seed, int(k), round_id, m - 1) % (1 << 64) - (m - 1) for k in keys]
     bg = np.random.Philox(0)
     gen = np.random.Generator(bg)
-    state = bg.state
-    # every row starts a fresh stream: empty output buffer, no cached half-word
-    state["buffer_pos"] = 4
-    state["has_uint32"] = 0
-    u = np.empty((len(keys) * m, width))
-    row = 0
-    for k in keys:
+    key = [0, int(seed) % (1 << 64)]
+    # every row starts a fresh stream: zero counter, empty buffer, no cached half-word
+    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    u = np.empty((len(keys) * m, width + spare))
+    rows = iter(u[:, :width])
+    for low in lows:
         for r in range(m):
-            key = _stream_key(seed, int(k), round_id, r)
-            state["state"] = {"counter": [0, 0, 0, 0], "key": [key & 0xFFFFFFFFFFFFFFFF, key >> 64]}
+            key[0] = low + r
             bg.state = state
-            gen.random(out=u[row])
-            row += 1
-    return np.argpartition(u, s - 1, axis=1)[:, :s]
+            gen.random(out=next(rows))
+    return u
 
 
-def _indicator(cols: np.ndarray, width: int) -> np.ndarray:
-    """0/1 matrix with a one at (row, cols[row, j]) for every j."""
-    W = np.zeros((cols.shape[0], width))
-    W[np.arange(cols.shape[0])[:, None], cols] = 1.0
-    return W
+def _indicators(u: np.ndarray, s: int, skip=None) -> np.ndarray:
+    """Overwrite u with 0/1 rows marking each row's s smallest uniforms.
+
+    Those are at or below the s-th smallest (one partition pivot), or argpartition's pick if
+    tied there. With ``skip``, a target position per block of rows, u's last column is spare
+    and each block's marks move right past its target, whose column gets 0.
+    """
+    x = u if skip is None else u[:, :-1]
+    sel = x <= np.partition(x, s - 1, axis=1)[:, s - 1 : s]
+    tied = np.flatnonzero(np.count_nonzero(sel, axis=1) != s)
+    sel[tied] = False
+    sel[tied[:, None], np.argpartition(x[tied], s - 1, axis=1)[:, :s]] = True
+    if skip is None:
+        u[...] = sel
+        return u
+    t = np.repeat(skip, len(u) // len(skip))
+    cols = np.arange(x.shape[1])
+    np.copyto(u[:, :-1], sel, where=cols < t[:, None])
+    np.copyto(u[:, 1:], sel, where=cols >= t[:, None])
+    u[np.arange(len(u)), t] = 0.0
+    return u
 
 
 def subset_size(n_active: int, k_sub: float) -> int:
@@ -119,10 +132,9 @@ def draw_subsets(active, k: int, m: int, n_sub: int, seed: int, round_id: int = 
         raise ValueError("need at least one subset")
     s = n_sub - 1
     if not 1 <= s <= eligible.size:
-        raise ValueError(
-            f"subset size {s} impossible with {eligible.size} eligible observations"
-        )
-    return eligible[np.sort(_draw(seed, [k], round_id, m, eligible.size, s), axis=1)]
+        raise ValueError(f"subset size {s} impossible with {eligible.size} eligible observations")
+    W = _indicators(_uniforms(seed, [k], round_id, m, eligible.size), s)
+    return eligible[np.nonzero(W)[1].reshape(m, s)]
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +180,9 @@ def min_max_sweep(
     Returns (t_min, t_max) aligned with the sorted active set (or with
     ``targets`` when given).
     Output is a pure function of the arguments: thread count and chunking
-    never change a bit. Private draws are scored in blocks of targets, on
-    ``threads`` workers; the shared pool is scored on the calling thread.
+    never change a bit. The caller draws private blocks of targets (drawing
+    holds the GIL) and ``threads`` - 1 workers select and score them, at most
+    ``threads`` blocks in flight; the shared pool is scored on the caller.
     """
     av = np.unique(np.asarray(active, dtype=np.int64))
     n_U = av.size
@@ -195,7 +208,7 @@ def min_max_sweep(
     private = np.arange(nt)
     if shared:
         M = int(math.ceil(_SHARED_OVERDRAW * m))
-        member = _indicator(_draw(seed, [_SHARED_KEY_SLOT], round_id, M, n_U, s), n_U)
+        member = _indicators(_uniforms(seed, [_SHARED_KEY_SLOT], round_id, M, n_U), s)
         # rank each target's usable (excluding) pooled rows; serve those with m
         avail = member[:, positions] == 0.0
         rank = np.cumsum(avail, axis=0)
@@ -205,22 +218,25 @@ def min_max_sweep(
         emit(np.flatnonzero(served), stats)
         private = np.flatnonzero(~served)
 
-    def private_block(idx):
+    def private_block(idx, u):
         tpos = positions[idx]
-        pick = _draw(seed, av[tpos], round_id, m, n_U - 1, s)
-        # eligible position q maps to working-set position q + (q >= target)
-        pick += pick >= np.repeat(tpos, m)[:, None]
         rows = np.arange(idx.size * m).reshape(-1, m)
-        emit(idx, _subset_scores(_indicator(pick, n_U), K, m, rows, tpos, s, Z.p))
+        emit(idx, _subset_scores(_indicators(u, s, skip=tpos), K, m, rows, tpos, s, Z.p))
 
-    # each of a worker's (targets*m, n_U) buffers (uniforms, partition indices,
-    # shifted picks, W, R) stays near 4 MB
+    # a block's (targets*m, n_U) buffers (uniforms then W, their partition, R) stay near 4 MB
     chunk = max(1, min(64, 500_000 // max(1, m * n_U)))
     blocks = [private[lo:lo + chunk] for lo in range(0, private.size, chunk)]
+    draws = ((b, _uniforms(seed, av[positions[b]], round_id, m, n_U - 1, 1)) for b in blocks)
     if threads and threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(private_block, blocks))
+        with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+            pending = []
+            for b, u in draws:
+                if len(pending) == threads:
+                    pending.pop(0).result()
+                pending.append(pool.submit(private_block, b, u))
+            for f in pending:
+                f.result()
     else:
-        for b in blocks:
-            private_block(b)
+        for b, u in draws:
+            private_block(b, u)
     return t_min, t_max

@@ -11,6 +11,7 @@ import numpy as np
 
 from mipdetect.chi2_fdr import chi2_1_sf
 from mipdetect.robust_stats import MAD_SCALE_FACTOR
+from mipdetect.subsample import _stream_key
 
 
 def robust_location_scale(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -76,6 +77,39 @@ def chi2_1_quantile(level: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def draw_positions(seed: int, keys, round_id: int, m: int, width: int, s: int) -> np.ndarray:
+    """(len(keys) * m, s) positions in range(width), one unsorted subset per row.
+
+    The per-row draw the package's indicator rows must reproduce: row r
+    of key k holds ``np.argpartition``'s s smallest of ``width`` uniforms
+    from a Philox generator built afresh on stream (seed, k, round_id, r),
+    with every key range-checked row by row.
+    """
+    rows = []
+    for k in keys:
+        for r in range(m):
+            key = _stream_key(seed, int(k), round_id, r)
+            gen = np.random.Generator(np.random.Philox(key=key))
+            rows.append(gen.random(width))
+    u = np.array(rows).reshape(len(rows), width)
+    return np.argpartition(u, s - 1, axis=1)[:, :s]
+
+
+def indicator_rows(cols: np.ndarray, width: int, skip=None) -> np.ndarray:
+    """0/1 matrix with a one at (row, cols[row, j]) for every j.
+
+    With ``skip`` (one target position per block of equal size), ``cols``
+    are positions among the other width - 1 columns and move past the
+    block's target first.
+    """
+    cols = np.array(cols)
+    if skip is not None:
+        cols += cols >= np.repeat(skip, len(cols) // len(skip))[:, None]
+    W = np.zeros((cols.shape[0], width))
+    W[np.arange(cols.shape[0])[:, None], cols] = 1.0
+    return W
 
 
 def group_statistic(Z, A_r, k: int, n_sub: int) -> float:

@@ -474,6 +474,10 @@ def test_unusable_inputs_exit_2(tmp_path, monkeypatch):
              "mu must be finite and nonnegative")
             for mu in ("nan", "inf", "1e400")
         ),
+        (["simulate", "--example", "1", "--mu-grid", "0,foo", "--out", tmp_path / "s.csv"],
+         "--mu-grid: 'foo' is not a number"),
+        (["simulate", "--example", "1", "--n", 3, "--out", tmp_path / "s.csv"], "n must be at least 4"),
+        (["simulate", "--example", "1", "--p", 0, "--out", tmp_path / "s.csv"], "p must be at least 1"),
     ]
     for argv, fragment in cases:
         code, err = run_cli(argv)

@@ -1,3 +1,7 @@
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,9 +15,22 @@ from mipdetect import (
 )
 from mipdetect.chi2_fdr import chi2_1_sf, chi2_1_sf_vec
 from mipdetect.robust_stats import InfluenceMatrix
-from mipdetect.subsample import _SHARED_KEY_SLOT, _SHARED_OVERDRAW, _draw, _stream_key
+from mipdetect import subsample
+from mipdetect.subsample import (
+    _SHARED_KEY_SLOT,
+    _SHARED_OVERDRAW,
+    _indicators,
+    _stream_key,
+    _uniforms,
+)
 
-from ground_truth import group_statistic, marginal_correlation, point_energy
+from ground_truth import (
+    draw_positions,
+    group_statistic,
+    indicator_rows,
+    marginal_correlation,
+    point_energy,
+)
 
 
 def influence_from(Z: np.ndarray) -> InfluenceMatrix:
@@ -119,6 +136,74 @@ def test_stream_keys_reject_out_of_range_components():
     with pytest.raises(ValueError):
         _stream_key(0, 1, 0, 1 << 20)
     assert _stream_key(7, 1, 0, 0) == _stream_key(7, 1, 0, 0)
+
+
+@pytest.mark.parametrize("kwargs", [{"m": 2**20 + 1, "round_id": 0}, {"m": 2**20, "round_id": 2**20}])
+def test_draw_subsets_checks_key_ranges_before_allocating(kwargs):
+    # a buffer for 2**20 rows of 3 uniforms would take 25 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="does not fit the stream key layout"):
+            draw_subsets(np.arange(4), k=0, n_sub=2, seed=0, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+# ---------------------------------------------------------------------------
+# indicator rows against the per-row draw
+# ---------------------------------------------------------------------------
+
+SEEDS = [0, 2**63 + 11, 2**64 - 1]
+
+
+def draw_rows(seed, keys, round_id, m, width, s, skip=None):
+    """Indicator rows as the sweeps draw them: private rows with ``skip``, pool rows without."""
+    return _indicators(_uniforms(seed, keys, round_id, m, width, 0 if skip is None else 1), s, skip)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("s, m", [(12, 9), (1, 4), (30, 3), (7, 1)])
+def test_private_rows_match_the_per_row_oracle(seed, s, m):
+    n_U = 31
+    skip = np.array([0, 15, 30])  # the target column first, in the middle and last
+    got = draw_rows(seed, skip, 4, m, n_U - 1, s, skip=skip)
+    want = indicator_rows(draw_positions(seed, skip, 4, m, n_U - 1, s), n_U, skip)
+    assert np.array_equal(got, want)
+    assert (got[np.arange(len(got)), np.repeat(skip, m)] == 0.0).all()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("s, m", [(10, 25), (1, 6), (30, 2), (17, 1)])
+def test_pool_rows_match_the_per_row_oracle(seed, s, m):
+    got = draw_rows(seed, [_SHARED_KEY_SLOT], 2, m, 30, s)
+    want = indicator_rows(draw_positions(seed, [_SHARED_KEY_SLOT], 2, m, 30, s), 30)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("k, m, n_sub", [(3, 20, 8), (21, 6, 2), (39, 4, 19), (15, 1, 10)])
+def test_draw_subsets_match_the_per_row_oracle(seed, k, m, n_sub):
+    active = np.arange(3, 40, 2)  # 19 ids, so n_sub = 19 forces the whole eligible set
+    eligible = active[active != k]
+    want = eligible[np.sort(draw_positions(seed, [k], 5, m, eligible.size, n_sub - 1), axis=1)]
+    assert np.array_equal(draw_subsets(active, k, m, n_sub, seed, round_id=5), want)
+
+
+def test_selection_ties_at_the_cut_take_argpartitions_pick():
+    u = np.array([
+        [0.5, 0.1, 0.5, 0.9, 0.5, 0.2],  # three uniforms tie at the cut
+        [0.3, 0.3, 0.3, 0.3, 0.3, 0.3],  # all tie
+        [0.6, 0.2, 0.4, 0.4, 0.1, 0.8],  # two tie at the cut
+        [0.6, 0.2, 0.3, 0.4, 0.1, 0.8],  # no tie
+    ])
+    s = 3
+    pick = np.argpartition(u, s - 1, axis=1)[:, :s]
+    assert np.array_equal(_indicators(u.copy(), s), indicator_rows(pick, 6))
+    skip = np.array([0, 2, 5, 6])
+    got = _indicators(np.c_[u, np.full(4, np.nan)], s, skip=skip)
+    assert np.array_equal(got, indicator_rows(pick, 7, skip))
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +340,38 @@ def test_sweep_is_bitwise_invariant_to_thread_count():
         assert np.array_equal(one[1], three[1])
 
 
+def test_threaded_sweep_over_many_blocks_is_bitwise_invariant(monkeypatch):
+    rng = np.random.default_rng(29)
+    Z = influence_from(rng.standard_normal((210, 12)))
+    active = np.arange(3, 210)  # n_U = 207; with m = 50 a block holds 48 targets
+    m, n_sub = 50, subset_size(207, 0.5)
+    drawn = []
+    uniforms = subsample._uniforms
+
+    def spy(seed, keys, *args, **kwargs):
+        drawn.append((len(keys), threading.get_ident()))
+        return uniforms(seed, keys, *args, **kwargs)
+
+    monkeypatch.setattr(subsample, "_uniforms", spy)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # workers write t_min and t_max: interleave them often
+    try:
+        counts = (1, 2, 3, 5)
+        runs = [min_max_sweep(Z, active, m, n_sub, seed=41, round_id=1, threads=t) for t in counts]
+    finally:
+        sys.setswitchinterval(interval)
+    for t_min, t_max in runs[1:]:
+        assert np.array_equal(t_min, runs[0][0])
+        assert np.array_equal(t_max, runs[0][1])
+    assert len(drawn) == len(counts) * 5 and sum(n for n, _ in drawn) == len(counts) * 207
+    assert {ident for _, ident in drawn} == {threading.get_ident()}  # drawn on the caller
+    targets = np.array([209, 3, 100, 57, 150, 4], dtype=np.int64)
+    part = min_max_sweep(Z, active, m, n_sub, seed=41, round_id=1, targets=targets, threads=2)
+    pos = targets - 3
+    assert np.array_equal(part[0], runs[0][0][pos])
+    assert np.array_equal(part[1], runs[0][1][pos])
+
+
 def test_sweep_honors_an_explicit_target_list():
     rng = np.random.default_rng(25)
     Z = influence_from(rng.standard_normal((20, 5)))
@@ -299,7 +416,7 @@ def test_shared_pool_statistics_replay_the_first_usable_pooled_subsets():
     active = np.arange(30)
     t_min, t_max = min_max_sweep(Z, active, m, n_sub, seed, round_id, shared=True)
     M = int(np.ceil(_SHARED_OVERDRAW * m))
-    pool = _draw(seed, [_SHARED_KEY_SLOT], round_id, M, 30, n_sub - 1)
+    pool = [np.flatnonzero(row) for row in draw_rows(seed, [_SHARED_KEY_SLOT], round_id, M, 30, n_sub - 1)]
     served = 0
     for k in range(30):
         usable = [row for row in pool if k not in row]
