@@ -6,7 +6,6 @@ from .chi2_fdr import (
     BhResult,
     PValueSet,
     bh_select,
-    chi2_1_sf,
     chi2_1_sf_vec,
 )
 from .him import HimScores, him_detect, him_scores
@@ -52,7 +51,6 @@ __all__ = [
     "BhResult",
     "PValueSet",
     "bh_select",
-    "chi2_1_sf",
     "chi2_1_sf_vec",
     "HimScores",
     "him_detect",

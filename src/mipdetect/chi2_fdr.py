@@ -41,19 +41,8 @@ class BhResult:
     alpha0: float
 
 
-def chi2_1_sf(t: float) -> float:
-    """Survival function of chi-square with one degree of freedom.
-
-    P(chi2(1) > t) = erfc(sqrt(t/2)).
-    """
-    t = float(t)
-    if not math.isfinite(t) or t < 0.0:
-        raise ValueError("statistic must be finite and nonnegative")
-    return math.erfc(math.sqrt(0.5 * t))
-
-
 def chi2_1_sf_vec(t: np.ndarray) -> np.ndarray:
-    """Vectorized chi2_1_sf for a nonnegative array of statistics."""
+    """P(chi2(1) > t) = erfc(sqrt(t/2)) for a nonnegative array of statistics."""
     t = np.asarray(t, dtype=np.float64)
     if not np.isfinite(t).all() or (t < 0).any():
         raise ValueError("statistics must be finite and nonnegative")

@@ -25,13 +25,18 @@ score 0/1 indicator rows W against K_U (``_subset_scores``): R = W @ K_U,
 q = <R_r, W_r> and g = R[r, k]. They differ only in where the rows come
 from: m streams of the target's own, or one pool drawn from a reserved
 target slot, of which each target scores the first m subsets that exclude
-it, or its private draws if the pool has too few.
+it, or its private draws if the pool has too few. Private rows are scored
+on one OpenBLAS thread; K and the pool keep the caller's BLAS threads.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 
@@ -46,6 +51,49 @@ _SHARED_KEY_SLOT = (1 << _KEY_K_BITS) - 1
 # pooled draws per working set in shared-subsets mode, relative to m;
 # roughly half of them exclude any given target when k_sub = 1/2
 _SHARED_OVERDRAW = 2.5
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) thread-count calls of NumPy's bundled OpenBLAS, or None where it has none."""
+    libs = Path(np.__file__).parents[1].glob("numpy.libs/libscipy_openblas64_*.so")
+    try:
+        lib = ctypes.CDLL(str(next(libs)))
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (StopIteration, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype, put.argtypes, put.restype = [], ctypes.c_int, [ctypes.c_int], None
+    return get, put
+
+
+class _OneBlasThread:
+    """OpenBLAS on one thread inside ``with``; a no-op without the bundled library's symbols.
+
+    Small products gain nothing from BLAS threads, which spin between calls on the cores that
+    Python workers need. The count is process-wide, so entries nest and may come from several
+    threads: the first saves the caller's count and pins it, the last exit restores it.
+    """
+
+    def __init__(self):
+        self._lock, self._depth, self._restore = threading.Lock(), 0, None
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0 and (calls := _openblas_threads()):
+                self._restore = calls[1], calls[0]()
+                calls[1](1)
+            self._depth += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0 and self._restore:
+                put, count = self._restore
+                put(count)
+                self._restore = None
+
+
+_one_blas_thread = _OneBlasThread()
 
 
 def _stream_key(seed: int, k: int, round_id: int, r: int) -> int:
@@ -181,15 +229,18 @@ def min_max_sweep(
     ``targets`` when given).
     Output is a pure function of the arguments: thread count and chunking
     never change a bit. The caller draws private blocks of targets (drawing
-    holds the GIL) and ``threads`` - 1 workers select and score them, at most
-    ``threads`` blocks in flight; the shared pool is scored on the caller.
+    holds the GIL) and ``threads`` - 1 workers select and score them on one
+    OpenBLAS thread, at most ``threads`` blocks in flight; the shared pool is
+    scored on the caller. At large n, pool bits (like K's) may follow
+    OPENBLAS_NUM_THREADS, as may private bits without NumPy's bundled OpenBLAS.
     """
     av = np.unique(np.asarray(active, dtype=np.int64))
     n_U = av.size
     s = n_sub - 1
     if not 1 <= s <= n_U - 1:
         raise ValueError("subset size out of range for this working set")
-    K = Z.gram[np.ix_(av, av)]
+    # every detect's first sweep takes all rows: use K itself, not an n^2 copy of it
+    K = Z.gram if av[0] == 0 and av[-1] == n_U - 1 == Z.n - 1 else Z.gram[np.ix_(av, av)]
 
     if targets is None:
         positions = np.arange(n_U)
@@ -221,7 +272,8 @@ def min_max_sweep(
     def private_block(idx, u):
         tpos = positions[idx]
         rows = np.arange(idx.size * m).reshape(-1, m)
-        emit(idx, _subset_scores(_indicators(u, s, skip=tpos), K, m, rows, tpos, s, Z.p))
+        with _one_blas_thread:
+            emit(idx, _subset_scores(_indicators(u, s, skip=tpos), K, m, rows, tpos, s, Z.p))
 
     # a block's (targets*m, n_U) buffers (uniforms then W, their partition, R) stay near 4 MB
     chunk = max(1, min(64, 500_000 // max(1, m * n_U)))

@@ -7,9 +7,10 @@ The rest are direct, slow recomputations that the package's fast paths
 are checked against, and which no product path calls.
 """
 
+import math
+
 import numpy as np
 
-from mipdetect.chi2_fdr import chi2_1_sf
 from mipdetect.robust_stats import MAD_SCALE_FACTOR
 from mipdetect.subsample import _stream_key
 
@@ -51,6 +52,18 @@ def him_statistic(Z, k: int) -> float:
     colsum = Z.Z.sum(axis=0)
     a = (n * Z.Z[k] - colsum) / (n - 1)
     return float(np.mean(a * a))
+
+
+def chi2_1_sf(t: float) -> float:
+    """Survival function of chi-square with one degree of freedom.
+
+    P(chi2(1) > t) = erfc(sqrt(t/2)), one statistic at a time: the scalar
+    reference for the package's ``chi2_1_sf_vec``.
+    """
+    t = float(t)
+    if not math.isfinite(t) or t < 0.0:
+        raise ValueError("statistic must be finite and nonnegative")
+    return math.erfc(math.sqrt(0.5 * t))
 
 
 def chi2_1_quantile(level: float) -> float:

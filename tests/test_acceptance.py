@@ -21,12 +21,18 @@ from mipdetect import (
     gen_scenario,
     standardize,
 )
-from mipdetect.chi2_fdr import bh_select, chi2_1_sf
+from mipdetect.chi2_fdr import bh_select
 from mipdetect.cli import main as cli_main
 from mipdetect.simbench import _lasso_path, default_lambda_grid
 from mipdetect.subsample import draw_subsets, subset_size
 
-from ground_truth import group_statistic, him_statistic, oracle_decomposition, point_energy
+from ground_truth import (
+    chi2_1_sf,
+    group_statistic,
+    him_statistic,
+    oracle_decomposition,
+    point_energy,
+)
 
 CHI2_95 = 3.8415  # 0.95 quantile of chi-square(1)
 

@@ -4,10 +4,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from mipdetect import PValueSet, bh_select, chi2_1_sf, chi2_1_sf_vec
+from mipdetect import PValueSet, bh_select, chi2_1_sf_vec
 from mipdetect.chi2_fdr import clamp_pvalues, log10_pvalues
 
-from ground_truth import chi2_1_quantile
+from ground_truth import chi2_1_quantile, chi2_1_sf
 
 
 def chi2_1_cdf_quadrature(t: float, nodes: int = 80) -> float:

@@ -5,14 +5,13 @@ from mipdetect import (
     Dataset,
     EstimatorMode,
     HimScores,
-    chi2_1_sf,
     him_detect,
     him_scores,
     standardize,
 )
 from mipdetect.robust_stats import InfluenceMatrix
 
-from ground_truth import him_statistic, marginal_correlation
+from ground_truth import chi2_1_sf, him_statistic, marginal_correlation
 
 
 def influence_from(Z: np.ndarray) -> InfluenceMatrix:

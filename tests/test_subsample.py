@@ -9,13 +9,14 @@ from mipdetect import (
     Dataset,
     EstimatorMode,
     draw_subsets,
+    lasso_fit,
     min_max_sweep,
     standardize,
     subset_size,
 )
-from mipdetect.chi2_fdr import chi2_1_sf, chi2_1_sf_vec
+from mipdetect.chi2_fdr import chi2_1_sf_vec
 from mipdetect.robust_stats import InfluenceMatrix
-from mipdetect import subsample
+from mipdetect import simbench, subsample
 from mipdetect.subsample import (
     _SHARED_KEY_SLOT,
     _SHARED_OVERDRAW,
@@ -25,6 +26,7 @@ from mipdetect.subsample import (
 )
 
 from ground_truth import (
+    chi2_1_sf,
     draw_positions,
     group_statistic,
     indicator_rows,
@@ -450,3 +452,97 @@ def test_null_sweep_statistics_calibrate_to_chi_square(null_bundle):
         exceed = float(np.mean(pool > 3.8415))
         assert 0.02 <= exceed <= 0.08
         assert ks_statistic(pool, above=0.1) <= 0.08
+
+
+# ---------------------------------------------------------------------------
+# one OpenBLAS thread for the small products
+# ---------------------------------------------------------------------------
+
+blas = subsample._openblas_threads()
+needs_openblas = pytest.mark.skipif(blas is None, reason="NumPy's bundled OpenBLAS symbols are absent")
+
+
+@pytest.fixture
+def two_blas_threads():
+    """The caller's OpenBLAS count set to 2 (the pin must move it), restored afterwards."""
+    get, put = blas
+    before = get()
+    put(2)
+    try:
+        yield get, put
+    finally:
+        put(before)
+
+
+def pinned_products(threads_on_entry=None):
+    """Private T_min/T_max bytes at n=1000 for a few targets, and lasso_fit's beta bytes."""
+    rng = np.random.default_rng(47)
+    Z = influence_from(rng.standard_normal((1000, 40)))
+    X = rng.standard_normal((60, 200))
+    data = Dataset(X=X, y=X[:, :4].sum(axis=1) + rng.standard_normal(60))
+    if threads_on_entry is not None:
+        blas[1](threads_on_entry)
+    targets = np.array([0, 517, 999], dtype=np.int64)
+    t_min, t_max = min_max_sweep(Z, np.arange(1000), 60, 501, seed=13, round_id=2, targets=targets)
+    return t_min.tobytes() + t_max.tobytes(), lasso_fit(data)[0].tobytes()
+
+
+@needs_openblas
+def test_pinned_products_do_not_depend_on_the_callers_blas_threads(two_blas_threads):
+    get, _ = two_blas_threads
+    assert pinned_products(threads_on_entry=1) == pinned_products(threads_on_entry=2)
+    assert get() == 2
+
+
+@needs_openblas
+def test_blas_pin_is_a_no_op_without_the_openblas_symbols(two_blas_threads, monkeypatch):
+    # without the pin, W @ K_U bits at n=1000 follow the caller's count: only 1 gives the pinned bits
+    get, _ = two_blas_threads
+    want = pinned_products()
+    monkeypatch.setattr(subsample, "_openblas_threads", lambda: None)
+    with subsample._one_blas_thread:
+        assert get() == 2
+    assert pinned_products(threads_on_entry=1) == want
+
+
+@needs_openblas
+def test_blas_pin_nests_across_threads_and_restores_after_a_raise(two_blas_threads, monkeypatch):
+    # a lasso refit and a private sweep overlap inside the pin; the sweep raises first
+    get, _ = two_blas_threads
+    both_inside = threading.Barrier(2, timeout=30)
+    in_lasso, in_sweep = [], []
+    certified = simbench._certified_path
+
+    def lasso_step(*args):
+        if not in_lasso:
+            both_inside.wait()
+            both_inside.wait()  # the sweep has left the pin by now
+        in_lasso.append(get())
+        return certified(*args)
+
+    def failing_scores(*args):
+        in_sweep.append(get())
+        both_inside.wait()
+        raise RuntimeError("scoring failed")
+
+    def sweep():
+        Z = influence_from(np.random.default_rng(48).standard_normal((30, 5)))
+        with pytest.raises(RuntimeError, match="scoring failed"):
+            min_max_sweep(Z, np.arange(30), 10, 16, seed=1, round_id=0)
+        both_inside.wait()
+
+    monkeypatch.setattr(simbench, "_certified_path", lasso_step)
+    monkeypatch.setattr(subsample, "_subset_scores", failing_scores)
+    rng = np.random.default_rng(49)
+    X = rng.standard_normal((40, 30))
+    data = Dataset(X=X, y=X[:, 0] + rng.standard_normal(40))
+    fit = threading.Thread(target=lasso_fit, args=(data,))
+    worker = threading.Thread(target=sweep)
+    fit.start()
+    worker.start()
+    fit.join(timeout=60)
+    worker.join(timeout=60)
+    assert not fit.is_alive() and not worker.is_alive()
+    assert in_lasso == [1] * 6 and in_sweep == [1]  # 5 CV paths and the final one; one block
+    assert get() == 2
+    assert subsample._one_blas_thread._depth == 0
