@@ -26,7 +26,8 @@ q = <R_r, W_r> and g = R[r, k]. They differ only in where the rows come
 from: m streams of the target's own, or one pool drawn from a reserved
 target slot, of which each target scores the first m subsets that exclude
 it, or its private draws if the pool has too few. Private rows are scored
-on one OpenBLAS thread; K and the pool keep the caller's BLAS threads.
+with OpenBLAS on one thread, as its other threads would only spin between
+such small products; K and the pool keep the caller's BLAS threads.
 """
 
 from __future__ import annotations
@@ -69,9 +70,8 @@ def _openblas_threads():
 class _OneBlasThread:
     """OpenBLAS on one thread inside ``with``; a no-op without the bundled library's symbols.
 
-    Small products gain nothing from BLAS threads, which spin between calls on the cores that
-    Python workers need. The count is process-wide, so entries nest and may come from several
-    threads: the first saves the caller's count and pins it, the last exit restores it.
+    The count is process-wide, so entries nest and may come from several threads: the first
+    saves the caller's count and pins it, and the last exit restores it.
     """
 
     def __init__(self):

@@ -496,7 +496,8 @@ def test_pinned_products_do_not_depend_on_the_callers_blas_threads(two_blas_thre
 
 @needs_openblas
 def test_blas_pin_is_a_no_op_without_the_openblas_symbols(two_blas_threads, monkeypatch):
-    # without the pin, W @ K_U bits at n=1000 follow the caller's count: only 1 gives the pinned bits
+    # unpinned, this W @ K_U at n=1000 gives other bits at 2 threads than at 1, so the
+    # fallback matches the pinned bytes when the caller runs one thread
     get, _ = two_blas_threads
     want = pinned_products()
     monkeypatch.setattr(subsample, "_openblas_threads", lambda: None)
