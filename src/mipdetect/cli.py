@@ -70,13 +70,9 @@ def _is_number(cell: str) -> bool:
 
 def _header_names(first: list[str], header_mode: str) -> list[str] | None:
     """The column names in the first row's cells, or None if that row is data."""
-    if header_mode == "yes":
-        has_header = True
-    elif header_mode == "no":
-        has_header = False
-    else:
-        has_header = not all(_is_number(c) for c in first)
-    return [c.strip() for c in first] if has_header else None
+    if header_mode not in ("yes", "no"):
+        header_mode = "no" if all(_is_number(c) for c in first) else "yes"
+    return [c.strip() for c in first] if header_mode == "yes" else None
 
 
 class _HashingReader(io.RawIOBase):

@@ -328,13 +328,10 @@ def min_multiround_detect(Z: InfluenceMatrix, cfg: MipConfig = MipConfig()) -> D
     U = np.arange(n, dtype=np.int64)
     flagged: list[int] = []
     first_t_min = first_t_max = first_p = None
-    rounds_used = 0
-    hit_cap = False
 
     _check_sample_size(n, cfg.k_sub)
     for round_no in range(1, cfg.max_rounds + 1):
         t_min, t_max = _sweep(Z, U, cfg, round_no - 1, round_no)
-        rounds_used = round_no
         pvals = chi2_1_sf_vec(t_min)
         if first_t_min is None:
             first_t_min, first_t_max, first_p = t_min, t_max, pvals
@@ -343,8 +340,6 @@ def min_multiround_detect(Z: InfluenceMatrix, cfg: MipConfig = MipConfig()) -> D
             break
         flagged.extend(U[hits].tolist())
         U = np.delete(U, hits)
-        if round_no == cfg.max_rounds:
-            hit_cap = True
 
     records = report_records(
         n, flagged, p_value=first_p, statistic=first_t_min, t_min=first_t_min, t_max=first_t_max
@@ -353,6 +348,6 @@ def min_multiround_detect(Z: InfluenceMatrix, cfg: MipConfig = MipConfig()) -> D
         method="min",
         records=records,
         config=cfg.echo(),
-        rounds_used=rounds_used,
-        hit_iteration_cap=hit_cap,
+        rounds_used=round_no,
+        hit_iteration_cap=hits.size > 0,  # the last round still rejected
     )

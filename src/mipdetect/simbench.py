@@ -339,8 +339,7 @@ def lasso_fit(d: Dataset, lambdas=None, n_folds: int = 5):
     homotopy of _lasso_path). With an explicit single-penalty ``lambdas``
     the CV step is skipped. Folds are the deterministic interleaving
     i mod n_folds. Every path point used must pass the KKT conditions to
-    1e-7, or ConvergenceError is raised. The path's many small products
-    run on one OpenBLAS thread.
+    1e-7, or ConvergenceError is raised. OpenBLAS runs on one thread.
 
     Returns (beta_hat, support).
     """

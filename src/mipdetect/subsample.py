@@ -25,15 +25,14 @@ score 0/1 indicator rows W against K_U (``_subset_scores``): R = W @ K_U,
 q = <R_r, W_r> and g = R[r, k]. They differ only in where the rows come
 from: m streams of the target's own, or one pool drawn from a reserved
 target slot, of which each target scores the first m subsets that exclude
-it, or its private draws if the pool has too few. Private rows are scored
-with OpenBLAS on one thread, as its other threads would only spin between
-such small products; K and the pool keep the caller's BLAS threads.
+it, or its private draws if the pool has too few. Small private blocks are
+scored on one OpenBLAS thread; K and the pool keep the caller's threads.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
-import functools
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -54,43 +53,34 @@ _SHARED_KEY_SLOT = (1 << _KEY_K_BITS) - 1
 _SHARED_OVERDRAW = 2.5
 
 
-@functools.cache
-def _openblas_threads():
-    """(get, set) thread-count calls of NumPy's bundled OpenBLAS, or None where it has none."""
-    libs = Path(np.__file__).parents[1].glob("numpy.libs/libscipy_openblas64_*.so")
-    try:
-        lib = ctypes.CDLL(str(next(libs)))
-        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-    except (StopIteration, OSError, AttributeError):
-        return None
-    get.argtypes, get.restype, put.argtypes, put.restype = [], ctypes.c_int, [ctypes.c_int], None
-    return get, put
-
-
 class _OneBlasThread:
-    """OpenBLAS on one thread inside ``with``; a no-op without the bundled library's symbols.
+    """OpenBLAS on one thread inside ``with``; a no-op without NumPy's bundled OpenBLAS symbols.
 
-    The count is process-wide, so entries nest and may come from several threads: the first
-    saves the caller's count and pins it, and the last exit restores it.
+    The count is process-wide: entries nest across threads and the last exit restores it.
     """
 
-    def __init__(self):
-        self._lock, self._depth, self._restore = threading.Lock(), 0, None
+    lock, depth, saved, calls = threading.Lock(), 0, 0, None
 
     def __enter__(self):
-        with self._lock:
-            if self._depth == 0 and (calls := _openblas_threads()):
-                self._restore = calls[1], calls[0]()
-                calls[1](1)
-            self._depth += 1
+        with self.lock:
+            if self.calls is None:
+                libs = Path(np.__file__).parents[1].glob("numpy.libs/libscipy_openblas64_*.so")
+                try:
+                    lib = ctypes.CDLL(str(next(libs)))
+                    self.calls = (lib.scipy_openblas_get_num_threads64_,
+                                  lib.scipy_openblas_set_num_threads64_)
+                except (StopIteration, OSError, AttributeError):
+                    self.calls = ()
+            if self.depth == 0 and self.calls:
+                self.saved = self.calls[0]()
+                self.calls[1](1)
+            self.depth += 1
 
     def __exit__(self, *exc):
-        with self._lock:
-            self._depth -= 1
-            if self._depth == 0 and self._restore:
-                put, count = self._restore
-                put(count)
-                self._restore = None
+        with self.lock:
+            self.depth -= 1
+            if self.depth == 0 and self.calls:
+                self.calls[1](self.saved)
 
 
 _one_blas_thread = _OneBlasThread()
@@ -229,17 +219,17 @@ def min_max_sweep(
     ``targets`` when given).
     Output is a pure function of the arguments: thread count and chunking
     never change a bit. The caller draws private blocks of targets (drawing
-    holds the GIL) and ``threads`` - 1 workers select and score them on one
-    OpenBLAS thread, at most ``threads`` blocks in flight; the shared pool is
-    scored on the caller. At large n, pool bits (like K's) may follow
-    OPENBLAS_NUM_THREADS, as may private bits without NumPy's bundled OpenBLAS.
+    holds the GIL) and ``threads`` - 1 workers select and score them, at most
+    ``threads`` blocks in flight; the shared pool is scored on the caller.
+    Blocks with m * n_U^2 <= 4e6 score on one OpenBLAS thread where NumPy
+    bundles it; at large n, other blocks, the pool and K may take bits from
+    OPENBLAS_NUM_THREADS, or from a pin another thread holds meanwhile.
     """
     av = np.unique(np.asarray(active, dtype=np.int64))
     n_U = av.size
     s = n_sub - 1
     if not 1 <= s <= n_U - 1:
         raise ValueError("subset size out of range for this working set")
-    # every detect's first sweep takes all rows: use K itself, not an n^2 copy of it
     K = Z.gram if av[0] == 0 and av[-1] == n_U - 1 == Z.n - 1 else Z.gram[np.ix_(av, av)]
 
     if targets is None:
@@ -269,10 +259,13 @@ def min_max_sweep(
         emit(np.flatnonzero(served), stats)
         private = np.flatnonzero(~served)
 
+    # one BLAS thread pays on small products only: from n_U = 300 (m = 100) it costs wall time
+    pin = _one_blas_thread if m * n_U * n_U <= 4_000_000 else contextlib.nullcontext()
+
     def private_block(idx, u):
         tpos = positions[idx]
         rows = np.arange(idx.size * m).reshape(-1, m)
-        with _one_blas_thread:
+        with pin:
             emit(idx, _subset_scores(_indicators(u, s, skip=tpos), K, m, rows, tpos, s, Z.p))
 
     # a block's (targets*m, n_U) buffers (uniforms then W, their partition, R) stay near 4 MB

@@ -458,7 +458,14 @@ def test_null_sweep_statistics_calibrate_to_chi_square(null_bundle):
 # one OpenBLAS thread for the small products
 # ---------------------------------------------------------------------------
 
-blas = subsample._openblas_threads()
+def bundled_openblas():
+    """The pin's (get, set) thread-count calls, looked up by entering it once; None without them."""
+    with subsample._one_blas_thread:
+        pass
+    return subsample._one_blas_thread.calls or None
+
+
+blas = bundled_openblas()
 needs_openblas = pytest.mark.skipif(blas is None, reason="NumPy's bundled OpenBLAS symbols are absent")
 
 
@@ -475,15 +482,15 @@ def two_blas_threads():
 
 
 def pinned_products(threads_on_entry=None):
-    """Private T_min/T_max bytes at n=1000 for a few targets, and lasso_fit's beta bytes."""
+    """Private T_min/T_max bytes at n=200, m=100 (the largest pinned block), and lasso_fit's beta bytes."""
     rng = np.random.default_rng(47)
-    Z = influence_from(rng.standard_normal((1000, 40)))
+    Z = influence_from(rng.standard_normal((200, 40)))
     X = rng.standard_normal((60, 200))
     data = Dataset(X=X, y=X[:, :4].sum(axis=1) + rng.standard_normal(60))
     if threads_on_entry is not None:
         blas[1](threads_on_entry)
-    targets = np.array([0, 517, 999], dtype=np.int64)
-    t_min, t_max = min_max_sweep(Z, np.arange(1000), 60, 501, seed=13, round_id=2, targets=targets)
+    targets = np.array([0, 117, 199], dtype=np.int64)
+    t_min, t_max = min_max_sweep(Z, np.arange(200), 100, 101, seed=13, round_id=2, targets=targets)
     return t_min.tobytes() + t_max.tobytes(), lasso_fit(data)[0].tobytes()
 
 
@@ -496,14 +503,31 @@ def test_pinned_products_do_not_depend_on_the_callers_blas_threads(two_blas_thre
 
 @needs_openblas
 def test_blas_pin_is_a_no_op_without_the_openblas_symbols(two_blas_threads, monkeypatch):
-    # unpinned, this W @ K_U at n=1000 gives other bits at 2 threads than at 1, so the
-    # fallback matches the pinned bytes when the caller runs one thread
     get, _ = two_blas_threads
     want = pinned_products()
-    monkeypatch.setattr(subsample, "_openblas_threads", lambda: None)
+    monkeypatch.setattr(subsample._one_blas_thread, "calls", ())
     with subsample._one_blas_thread:
         assert get() == 2
     assert pinned_products(threads_on_entry=1) == want
+
+
+@needs_openblas
+@pytest.mark.parametrize("n, m, pinned", [(200, 100, True), (201, 100, False), (400, 25, True)])
+def test_private_blocks_pin_blas_only_for_small_products(two_blas_threads, monkeypatch, n, m, pinned):
+    # one thread pays up to m * n_U^2 = 4e6 multiply-adds per product; bigger ones keep the caller's
+    get, _ = two_blas_threads
+    seen = []
+    scores = subsample._subset_scores
+
+    def spy(*args):
+        seen.append(get())
+        return scores(*args)
+
+    monkeypatch.setattr(subsample, "_subset_scores", spy)
+    Z = influence_from(np.random.default_rng(50).standard_normal((n, 5)))
+    min_max_sweep(Z, np.arange(n), m, n // 2 + 1, seed=3, round_id=0, targets=[1, n - 2])
+    assert seen == [1 if pinned else 2]
+    assert get() == 2
 
 
 @needs_openblas
@@ -546,4 +570,4 @@ def test_blas_pin_nests_across_threads_and_restores_after_a_raise(two_blas_threa
     assert not fit.is_alive() and not worker.is_alive()
     assert in_lasso == [1] * 6 and in_sweep == [1]  # 5 CV paths and the final one; one block
     assert get() == 2
-    assert subsample._one_blas_thread._depth == 0
+    assert subsample._one_blas_thread.depth == 0
