@@ -459,7 +459,7 @@ def test_null_sweep_statistics_calibrate_to_chi_square(null_bundle):
 # ---------------------------------------------------------------------------
 
 def bundled_openblas():
-    """The pin's (get, set) thread-count calls, looked up by entering it once; None without them."""
+    """The pin's (get, set) thread-count calls, found by entering it once; None without."""
     with subsample._one_blas_thread:
         pass
     return subsample._one_blas_thread.calls or None
@@ -482,7 +482,7 @@ def two_blas_threads():
 
 
 def pinned_products(threads_on_entry=None):
-    """Private T_min/T_max bytes at n=200, m=100 (the largest pinned block), and lasso_fit's beta bytes."""
+    """Private T_min/T_max bytes at n=200, m=100 (the largest pinned block); lasso_fit's beta."""
     rng = np.random.default_rng(47)
     Z = influence_from(rng.standard_normal((200, 40)))
     X = rng.standard_normal((60, 200))
@@ -513,7 +513,9 @@ def test_blas_pin_is_a_no_op_without_the_openblas_symbols(two_blas_threads, monk
 
 @needs_openblas
 @pytest.mark.parametrize("n, m, pinned", [(200, 100, True), (201, 100, False), (400, 25, True)])
-def test_private_blocks_pin_blas_only_for_small_products(two_blas_threads, monkeypatch, n, m, pinned):
+def test_private_blocks_pin_blas_only_for_small_products(
+    two_blas_threads, monkeypatch, n, m, pinned
+):
     # one thread pays up to m * n_U^2 = 4e6 multiply-adds per product; bigger ones keep the caller's
     get, _ = two_blas_threads
     seen = []
