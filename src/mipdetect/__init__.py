@@ -40,11 +40,7 @@ from .simbench import (
     lasso_fit,
     run_experiment,
 )
-from .subsample import (
-    draw_subsets,
-    min_max_sweep,
-    subset_size,
-)
+from .subsample import min_max_sweep, subset_size
 
 __all__ = [
     "__version__",
@@ -80,7 +76,6 @@ __all__ = [
     "gen_scenario",
     "lasso_fit",
     "run_experiment",
-    "draw_subsets",
     "min_max_sweep",
     "subset_size",
 ]

@@ -17,7 +17,6 @@ import io
 import itertools
 import json
 import math
-import os
 import sys
 import time
 
@@ -198,6 +197,8 @@ def load_dataset(path: str, delimiter: str, header_mode: str, response_col: str)
     position of its first problem. A pipe, which cannot be read twice, is
     read into memory first.
     """
+    if not delimiter:
+        raise CliError(2, "--delimiter must be a non-empty string")
     try:
         with open(path, "rb", buffering=0) as fh:
             # a pipe cannot be read twice, so its bytes are kept for the rescan
@@ -371,36 +372,15 @@ def _add_mip_opts(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--l0", type=int, default=None, help="fallback removal count per round")
     sp.add_argument("--max-rounds", type=int, default=20)
     sp.add_argument("--shared-subsets", action="store_true")
-    sp.add_argument(
-        "--threads",
-        type=int,
-        help="worker threads (default: MIP_THREADS or all cores); never changes "
-        "results; --shared-subsets scores its pool in a few BLAS calls, with no "
-        "Python thread pool",
-    )
-
-
-def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        n = args.threads
-    else:
-        env = os.environ.get("MIP_THREADS", "").strip()
-        if env:
-            try:
-                n = int(env)
-            except ValueError:
-                raise CliError(2, f"MIP_THREADS={env!r} is not an integer") from None
-        else:
-            n = os.cpu_count() or 1
-    if n < 1:
-        raise CliError(2, "thread count must be at least 1")
-    return n
+    # undocumented and ignored: the sweep works its worker count out from the core count
+    sp.add_argument("--threads", help=argparse.SUPPRESS)
 
 
 def _config(args) -> MipConfig:
+    if args.threads is not None:
+        print("warning: --threads is ignored; workers follow the core count", file=sys.stderr)
     values = {f.name: getattr(args, f.name) for f in dataclasses.fields(MipConfig)}
-    values.update(estimator=EstimatorMode(args.estimator), threads=_resolve_threads(args))
-    return MipConfig(**values)
+    return MipConfig(**dict(values, estimator=EstimatorMode(args.estimator)))
 
 
 def _column_error(e: DegenerateColumnError, rcol: int) -> CliError:

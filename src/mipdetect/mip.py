@@ -29,8 +29,8 @@ class MipConfig:
 
     ``l0`` is the fallback removal count for a Min-Step whose selection
     comes back empty while the stop test keeps failing; None resolves to
-    max(1, ceil(0.05 n)). ``threads`` only affects scheduling, never
-    output values.
+    max(1, ceil(0.05 n)). The sweep's worker count is not a field: it is
+    worked out from the core count and never changes output values.
     """
 
     m: int = 100
@@ -43,7 +43,6 @@ class MipConfig:
     seed: int = 0
     estimator: EstimatorMode = EstimatorMode.ROBUST
     shared_subsets: bool = False
-    threads: int | None = None
 
     def __post_init__(self):
         if self.m < 1:
@@ -66,8 +65,8 @@ class MipConfig:
         return self.l0 if self.l0 is not None else max(1, math.ceil(0.05 * n))
 
     def echo(self) -> dict:
-        """Stable config dictionary for run reports (scheduling excluded)."""
-        values = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "threads"}
+        """Stable config dictionary for run reports."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
         return dict(values, estimator=self.estimator.value)
 
 
@@ -139,10 +138,7 @@ def _sweep(Z: InfluenceMatrix, active, cfg: MipConfig, round_id: int, round_no: 
         raise DegenerateShrinkageError(
             f"round {round_no}: working set of {n_U} cannot support subsets of size {n_sub}"
         )
-    return min_max_sweep(
-        Z, active, cfg.m, n_sub, cfg.seed, round_id,
-        threads=cfg.threads, shared=cfg.shared_subsets,
-    )
+    return min_max_sweep(Z, active, cfg.m, n_sub, cfg.seed, round_id, shared=cfg.shared_subsets)
 
 
 def _check_sample_size(n: int, k_sub: float) -> None:

@@ -414,11 +414,8 @@ def run_experiment(
             for name in methods:
                 try:
                     row = _run_one(labeled, name, rep_cfg, with_fit, z_cache)
-                except Exception:
-                    log.warning(
-                        "rep %d of %s failed for %s",
-                        rep, spec.kind.value, name, exc_info=True,
-                    )
+                except Exception as e:
+                    log.warning("rep %d of %s failed for %s: %s", rep, spec.kind.value, name, e)
                     continue
                 acc[(spec_idx, name)].append(row)
 

@@ -25,8 +25,11 @@ score 0/1 indicator rows W against K_U (``_subset_scores``): R = W @ K_U,
 q = <R_r, W_r> and g = R[r, k]. They differ only in where the rows come
 from: m streams of the target's own, or one pool drawn from a reserved
 target slot, of which each target scores the first m subsets that exclude
-it, or its private draws if the pool has too few. Small private blocks are
-scored on one OpenBLAS thread; K and the pool keep the caller's threads.
+it, or its private draws if the pool has too few. The caller draws private
+blocks and one worker per core but one selects and scores them; the worker
+count is not configurable, since no result depends on it. Small private
+blocks are scored on one OpenBLAS thread; K and the pool keep the caller's
+threads.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import math
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -210,17 +214,17 @@ def min_max_sweep(
     round_id: int,
     *,
     targets=None,
-    threads: int | None = None,
     shared: bool = False,
 ):
     """T_min and T_max for every target in one pass over a working set.
 
     Returns (t_min, t_max) aligned with the sorted active set (or with
     ``targets`` when given).
-    Output is a pure function of the arguments: thread count and chunking
+    Output is a pure function of the arguments: worker count and chunking
     never change a bit. The caller draws private blocks of targets (drawing
-    holds the GIL) and ``threads`` - 1 workers select and score them, at most
-    ``threads`` blocks in flight; the shared pool is scored on the caller.
+    holds the GIL) and max(1, cpu_count - 1) workers select and score them,
+    at most one block more than workers in flight; the shared pool is scored
+    on the caller.
     Blocks with m * n_U^2 <= 4e6 score on one OpenBLAS thread where NumPy
     bundles it; at large n, other blocks, the pool and K may take bits from
     OPENBLAS_NUM_THREADS, or from a pin another thread holds meanwhile.
@@ -272,16 +276,13 @@ def min_max_sweep(
     chunk = max(1, min(64, 500_000 // max(1, m * n_U)))
     blocks = [private[lo:lo + chunk] for lo in range(0, private.size, chunk)]
     draws = ((b, _uniforms(seed, av[positions[b]], round_id, m, n_U - 1, 1)) for b in blocks)
-    if threads and threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads - 1) as pool:
-            pending = []
-            for b, u in draws:
-                if len(pending) == threads:
-                    pending.pop(0).result()
-                pending.append(pool.submit(private_block, b, u))
-            for f in pending:
-                f.result()
-    else:
+    workers = max(1, (os.cpu_count() or 1) - 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = []
         for b, u in draws:
-            private_block(b, u)
+            if len(pending) > workers:
+                pending.pop(0).result()
+            pending.append(pool.submit(private_block, b, u))
+        for f in pending:
+            f.result()
     return t_min, t_max

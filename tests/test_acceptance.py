@@ -194,8 +194,7 @@ def test_acceptance_07_multiround_min_fpr_bound(minmulti_rows):
 
 
 def test_acceptance_08_cli_determinism(tmp_path, monkeypatch):
-    """Detection outputs are byte-stable across repeats and thread counts."""
-    monkeypatch.delenv("MIP_THREADS", raising=False)
+    """Detection outputs are byte-stable across repeats and worker counts."""
     lab = gen_scenario(
         ScenarioSpec(kind=ScenarioKind.EXAMPLE1, mu=6.0, n=60, p=150, n_inf=6, seed=5)
     )
@@ -208,11 +207,13 @@ def test_acceptance_08_cli_determinism(tmp_path, monkeypatch):
     csv.write_text("\n".join(lines) + "\n")
 
     blobs = []
-    for tag, threads in (("a", 1), ("b", 1), ("c", os.cpu_count() or 1), ("d", os.cpu_count() or 1)):
+    # the sweep's worker count is one per core but one, at least one
+    for tag, cores in (("a", 1), ("b", 1), ("c", 2), ("d", 3), ("e", 5), ("f", 5)):
+        monkeypatch.setattr(os, "cpu_count", lambda cores=cores: cores)
         report = tmp_path / f"{tag}.json"
         flags = tmp_path / f"{tag}.csv"
         code = cli_main(
-            ["detect", str(csv), "--m", "40", "--seed", "0", "--threads", str(threads),
+            ["detect", str(csv), "--m", "40", "--seed", "0",
              "--report", str(report), "--flags", str(flags)]
         )
         assert code == 0

@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -217,34 +218,30 @@ def test_detect_recovers_planted_rows(tmp_path):
 
 
 def test_detect_outputs_do_not_depend_on_threads(tmp_path, small_csv, monkeypatch):
-    monkeypatch.delenv("MIP_THREADS", raising=False)
     csv, _ = small_csv
-    blobs = []
-    for label, extra in (
-        ("t1", ["--threads", 1]),
-        ("t1b", ["--threads", 1]),
-        ("t2", ["--threads", 2]),
-        ("t2b", ["--threads", 2]),
-    ):
+
+    def detect(label, *extra):
         report_path = tmp_path / f"{label}.json"
         flags_path = tmp_path / f"{label}.csv"
-        code, _ = run_cli(
+        code, err = run_cli(
             ["detect", csv, "--m", 40, "--seed", 0,
-             "--report", report_path, "--flags", flags_path] + extra
+             "--report", report_path, "--flags", flags_path, *extra]
         )
         assert code == 0
-        blobs.append((report_path.read_bytes(), flags_path.read_bytes()))
+        return (report_path.read_bytes(), flags_path.read_bytes()), err
+
+    blobs = []
+    for label, cores in (("c1", 1), ("c1b", 1), ("c2", 2), ("c3", 3), ("c5", 5), ("c5b", 5)):
+        monkeypatch.setattr(os, "cpu_count", lambda cores=cores: cores)
+        blobs.append(detect(label)[0])
     assert all(b == blobs[0] for b in blobs[1:])
 
-    monkeypatch.setenv("MIP_THREADS", "2")
-    report_path = tmp_path / "env.json"
-    flags_path = tmp_path / "env.csv"
-    code, _ = run_cli(
-        ["detect", csv, "--m", 40, "--seed", 0,
-         "--report", report_path, "--flags", flags_path]
-    )
-    assert code == 0
-    assert (report_path.read_bytes(), flags_path.read_bytes()) == blobs[0]
+    # the old knobs configure nothing: MIP_THREADS is not read, --threads only warns
+    monkeypatch.setenv("MIP_THREADS", "lots")
+    assert detect("env")[0] == blobs[0]
+    blob, err = detect("flag", "--threads", 0)
+    assert blob == blobs[0]
+    assert "--threads is ignored" in err
 
 
 def test_detect_on_clean_data_flags_few(tmp_path):
@@ -282,7 +279,7 @@ def test_him_matches_library_bit_for_bit(tmp_path, small_csv):
     assert payload["manifest"]["seed"] == 9
 
 
-def test_him_takes_only_the_options_it_reads(tmp_path, small_csv, monkeypatch):
+def test_him_takes_only_the_options_it_reads(tmp_path, small_csv):
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     dests = {a.dest for a in sub.choices["him"]._actions if a.dest != "help"}
     assert dests == {
@@ -296,14 +293,6 @@ def test_him_takes_only_the_options_it_reads(tmp_path, small_csv, monkeypatch):
         with pytest.raises(SystemExit) as exc:
             run_cli(["him", csv, option, 0.5, *outs("m")])
         assert exc.value.code == 2
-
-    # him reads no thread count, so a malformed MIP_THREADS is not its concern
-    monkeypatch.delenv("MIP_THREADS", raising=False)
-    assert run_cli(["him", csv, *outs("plain")])[0] == 0
-    monkeypatch.setenv("MIP_THREADS", "lots")
-    assert run_cli(["him", csv, *outs("env")])[0] == 0
-    for suffix in ("json", "csv"):
-        assert (tmp_path / f"env.{suffix}").read_bytes() == (tmp_path / f"plain.{suffix}").read_bytes()
 
 
 def test_detect_matches_library_bit_for_bit(tmp_path, small_csv):
@@ -391,6 +380,30 @@ def test_simulate_null_controls_flag_rate(tmp_path):
         assert float(r[3]) <= 0.08
 
 
+def test_simulate_names_each_failed_rep_in_one_line(tmp_path):
+    # a fresh interpreter, so that stderr gets what logging prints without a handler
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    out = tmp_path / "s.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "mipdetect.cli", "simulate", "--example", "1", "--n", "6",
+         "--p", "20", "--n-inf", "2", "--reps", "2", "--methods", "MIP,MaxOnly",
+         "--out", str(out)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    failures = [line for line in proc.stderr.splitlines() if " failed for " in line]
+    assert [line.split(":")[0] for line in failures] == [
+        "rep 0 of example1 failed for MIP", "rep 1 of example1 failed for MIP"
+    ]
+    assert all("cannot support subsets of size" in line for line in failures)
+    _, rows = read_rows(out)
+    assert [(r[0], r[-1]) for r in rows] == [("MIP", "0"), ("MaxOnly", "2")]
+
+
 def test_simulate_swamping_benchmark(swamping_csv_rows):
     mip = swamping_csv_rows["MIP"]
     him = swamping_csv_rows["HIM"]
@@ -418,8 +431,7 @@ def test_parse_errors_carry_positions(tmp_path):
     assert "Error" not in err and "Traceback" not in err
 
 
-def test_unusable_inputs_exit_2(tmp_path, monkeypatch):
-    monkeypatch.delenv("MIP_THREADS", raising=False)
+def test_unusable_inputs_exit_2(tmp_path):
     ok = tmp_path / "ok.csv"
     ok.write_text("y,x1,x2\n1,2,3\n4,5,6\n7,8,9\n1,2,1\n")
     outs = ["--report", tmp_path / "r.json", "--flags", tmp_path / "f.csv"]
@@ -460,7 +472,7 @@ def test_unusable_inputs_exit_2(tmp_path, monkeypatch):
          "row 2, column 3: non-finite value '1e400'"),
         (["detect", ok, "--response-col", "z", *outs], "neither a header name nor a position"),
         (["detect", ok, "--response-col", "9", *outs], "out of range 1..3"),
-        (["detect", ok, "--threads", 0, *outs], "thread count must be at least 1"),
+        (["detect", ok, "--delimiter", "", *outs], "--delimiter must be a non-empty string"),
         (["detect", ok, "--alpha", 1.5, *outs], "alpha and alpha0"),
         (["detect", ok, "--seed", 2**64, *outs], "seed must be an integer in [0, 2**64)"),
         (["him", ok, "--seed", -1, *outs], "seed must be an integer in [0, 2**64)"),
@@ -485,11 +497,6 @@ def test_unusable_inputs_exit_2(tmp_path, monkeypatch):
         assert fragment in err, (argv, err)
         assert "Error" not in err and "Traceback" not in err, err
     assert not (tmp_path / "s.csv").exists()  # no header-only table either
-
-    monkeypatch.setenv("MIP_THREADS", "lots")
-    code, err = run_cli(["detect", ok, *outs])
-    assert code == 2
-    assert "MIP_THREADS" in err
 
 
 def test_too_small_working_sets_have_documented_exit_codes(tmp_path):
@@ -644,11 +651,24 @@ def test_very_large_p(tmp_path):
     assert "Traceback" not in err
 
 
-def test_every_mip_option_is_a_config_field_and_echoed():
+def documented_mip_options():
+    """The actions of _add_mip_opts that --help shows; the ignored --threads is hidden."""
     parser = argparse.ArgumentParser()
     _add_mip_opts(parser)
-    dests = {a.dest for a in parser._actions if a.dest != "help"}
+    return [a for a in parser._actions if a.dest != "help" and a.help != argparse.SUPPRESS]
+
+
+def test_every_mip_option_is_a_config_field_and_echoed():
+    dests = {a.dest for a in documented_mip_options()}
     fields = {f.name for f in dataclasses.fields(MipConfig)}
     echoed = set(MipConfig().echo())
-    assert fields - {"threads"} == echoed == dests - {"threads"}
-    assert "threads" in fields and "threads" in dests
+    assert fields == echoed == dests
+
+
+def test_readme_lists_exactly_the_mip_options():
+    text = " ".join((REPO_ROOT / "README.md").read_text(encoding="utf-8").split())
+    start = text.index("take one option per `MipConfig` field:")
+    sentence = text[start : text.index(".", start)]
+    named = re.findall(r"`(--[a-z0-9-]+)`", sentence)
+    assert len(named) == len(set(named))
+    assert set(named) == {s for a in documented_mip_options() for s in a.option_strings}

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import inspect
+import os
 import sys
 import tracemalloc
 from pathlib import Path
@@ -121,10 +122,9 @@ def test_resolve_l0():
 
 
 def test_echo_excludes_scheduling():
-    cfg = MipConfig(m=42, threads=3)
+    cfg = MipConfig(m=42)
     echo = cfg.echo()
     assert len(echo) == 10
-    assert "threads" not in echo
     assert echo["m"] == 42
     assert echo["estimator"] == "robust"
 
@@ -348,12 +348,14 @@ def test_pipeline_end_to_end_flags_exact_rows():
     assert ((rec.p_value[tested] >= 0.0) & (rec.p_value[tested] <= 1.0)).all()
 
 
-def test_pipeline_deterministic_across_runs_and_threads():
+def test_pipeline_deterministic_across_runs_and_threads(monkeypatch):
     lab = small_contaminated()
     base = mip_detect(lab.data, MipConfig(m=50, seed=0))
-    again = mip_detect(lab.data, MipConfig(m=50, seed=0))
-    threaded = mip_detect(lab.data, MipConfig(m=50, seed=0, threads=2))
-    for other in (again, threaded):
+    others = []
+    for cores in (1, 1, 2, 3, 5):  # the sweep's worker count follows the core count
+        monkeypatch.setattr(os, "cpu_count", lambda cores=cores: cores)
+        others.append(mip_detect(lab.data, MipConfig(m=50, seed=0)))
+    for other in others:
         assert np.array_equal(base.flagged(), other.flagged())
         assert np.array_equal(base.clean_set, other.clean_set)
         assert base.records.tobytes() == other.records.tobytes()
@@ -570,7 +572,7 @@ def test_shared_detect_memory_is_z_plus_two_gram_blocks():
     d = Dataset(y=y, X=X)
     tracemalloc.start()
     try:
-        report = mip_detect(d, MipConfig(shared_subsets=True, threads=1))
+        report = mip_detect(d, MipConfig(shared_subsets=True))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
