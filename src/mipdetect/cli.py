@@ -372,7 +372,7 @@ def _add_mip_opts(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--l0", type=int, default=None, help="fallback removal count per round")
     sp.add_argument("--max-rounds", type=int, default=20)
     sp.add_argument("--shared-subsets", action="store_true")
-    # undocumented and ignored: the sweep works its worker count out from the core count
+    # parsed so that scripts passing it still run; the sweep's worker count follows the cores
     sp.add_argument("--threads", help=argparse.SUPPRESS)
 
 
@@ -380,7 +380,8 @@ def _config(args) -> MipConfig:
     if args.threads is not None:
         print("warning: --threads is ignored; workers follow the core count", file=sys.stderr)
     values = {f.name: getattr(args, f.name) for f in dataclasses.fields(MipConfig)}
-    return MipConfig(**dict(values, estimator=EstimatorMode(args.estimator)))
+    values.update(estimator=EstimatorMode(args.estimator))
+    return MipConfig(**values)
 
 
 def _column_error(e: DegenerateColumnError, rcol: int) -> CliError:
