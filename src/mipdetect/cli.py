@@ -372,13 +372,13 @@ def _add_mip_opts(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--l0", type=int, default=None, help="fallback removal count per round")
     sp.add_argument("--max-rounds", type=int, default=20)
     sp.add_argument("--shared-subsets", action="store_true")
-    # parsed so that scripts passing it still run; the sweep's worker count follows the cores
+    # parsed so that scripts passing it still run; the sweep has no thread count to set
     sp.add_argument("--threads", help=argparse.SUPPRESS)
 
 
 def _config(args) -> MipConfig:
     if args.threads is not None:
-        print("warning: --threads is ignored; workers follow the core count", file=sys.stderr)
+        print("warning: --threads is ignored; it sets nothing", file=sys.stderr)
     values = {f.name: getattr(args, f.name) for f in dataclasses.fields(MipConfig)}
     values.update(estimator=EstimatorMode(args.estimator))
     return MipConfig(**values)

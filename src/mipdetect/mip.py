@@ -29,8 +29,8 @@ class MipConfig:
 
     ``l0`` is the fallback removal count for a Min-Step whose selection
     comes back empty while the stop test keeps failing; None resolves to
-    max(1, ceil(0.05 n)). The sweep's worker count is not a field: it is
-    worked out from the core count and never changes output values.
+    max(1, ceil(0.05 n)). There is no thread count: a sweep scores its
+    private blocks in turn on the caller.
     """
 
     m: int = 100

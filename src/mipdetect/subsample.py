@@ -25,11 +25,9 @@ score 0/1 indicator rows W against K_U (``_subset_scores``): R = W @ K_U,
 q = <R_r, W_r> and g = R[r, k]. They differ only in where the rows come
 from: m streams of the target's own, or one pool drawn from a reserved
 target slot, of which each target scores the first m subsets that exclude
-it, or its private draws if the pool has too few. The caller draws private
-blocks and one worker per core but one selects and scores them; the worker
-count is not configurable, since no result depends on it. Small private
-blocks are scored on one OpenBLAS thread; K and the pool keep the caller's
-threads.
+it, or its private draws if the pool has too few. Private blocks are drawn
+and scored one after another on the caller, small ones on one OpenBLAS
+thread; K and the pool keep the caller's threads.
 """
 
 from __future__ import annotations
@@ -37,9 +35,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import math
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -220,14 +216,11 @@ def min_max_sweep(
 
     Returns (t_min, t_max) aligned with the sorted active set (or with
     ``targets`` when given).
-    Output is a pure function of the arguments: worker count and chunking
-    never change a bit. The caller draws private blocks of targets (drawing
-    holds the GIL) and max(1, cpu_count - 1) workers select and score them,
-    at most one block more than workers in flight; the shared pool is scored
-    on the caller.
-    Blocks with m * n_U^2 <= 4e6 score on one OpenBLAS thread where NumPy
-    bundles it; at large n, other blocks, the pool and K may take bits from
-    OPENBLAS_NUM_THREADS, or from a pin another thread holds meanwhile.
+    Output is a pure function of the arguments: how targets are split into
+    blocks never changes a bit. Private blocks are drawn and scored in turn
+    on the caller, those with m * n_U^2 <= 4e6 on one OpenBLAS thread where
+    NumPy bundles it; at large n, other blocks, the pool and K may take bits
+    from OPENBLAS_NUM_THREADS.
     """
     av = np.unique(np.asarray(active, dtype=np.int64))
     n_U = av.size
@@ -266,23 +259,13 @@ def min_max_sweep(
     # one BLAS thread pays on small products only: from n_U = 300 (m = 100) it costs wall time
     pin = _one_blas_thread if m * n_U * n_U <= 4_000_000 else contextlib.nullcontext()
 
-    def private_block(idx, u):
+    # a block's (targets*m, n_U) buffers (uniforms then W, their partition, R) stay near 4 MB
+    chunk = max(1, min(64, 500_000 // max(1, m * n_U)))
+    for lo in range(0, private.size, chunk):
+        idx = private[lo:lo + chunk]
         tpos = positions[idx]
+        u = _uniforms(seed, av[tpos], round_id, m, n_U - 1, 1)
         rows = np.arange(idx.size * m).reshape(-1, m)
         with pin:
             emit(idx, _subset_scores(_indicators(u, s, skip=tpos), K, m, rows, tpos, s, Z.p))
-
-    # a block's (targets*m, n_U) buffers (uniforms then W, their partition, R) stay near 4 MB
-    chunk = max(1, min(64, 500_000 // max(1, m * n_U)))
-    blocks = [private[lo:lo + chunk] for lo in range(0, private.size, chunk)]
-    draws = ((b, _uniforms(seed, av[positions[b]], round_id, m, n_U - 1, 1)) for b in blocks)
-    workers = max(1, (os.cpu_count() or 1) - 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = []
-        for b, u in draws:
-            if len(pending) > workers:
-                pending.pop(0).result()
-            pending.append(pool.submit(private_block, b, u))
-        for f in pending:
-            f.result()
     return t_min, t_max

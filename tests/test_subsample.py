@@ -1,5 +1,3 @@
-import os
-import sys
 import threading
 import tracemalloc
 
@@ -332,60 +330,34 @@ def test_extremes_are_monotone_in_the_subset_count():
 # ---------------------------------------------------------------------------
 
 
-def sweeps_per_core_count(monkeypatch, counts, *args, **kwargs):
-    """One min_max_sweep per entry of ``counts``, with os.cpu_count reporting that many cores."""
-    runs = []
-    for cores in counts:
-        monkeypatch.setattr(os, "cpu_count", lambda cores=cores: cores)
-        runs.append(min_max_sweep(*args, **kwargs))
-    return runs
-
-
-def test_sweep_is_bitwise_invariant_to_thread_count(monkeypatch):
+def test_sweep_is_bitwise_invariant_to_target_blocking():
     rng = np.random.default_rng(24)
     Z = influence_from(rng.standard_normal((40, 15)))
     active = np.arange(40)
     for shared in (False, True):
-        one, *others = sweeps_per_core_count(
-            monkeypatch, (1, 2, 3, 5), Z, active, 30, 21, seed=77, round_id=0, shared=shared
-        )
-        for other in others:
-            assert np.array_equal(one[0], other[0])
-            assert np.array_equal(one[1], other[1])
+        whole = min_max_sweep(Z, active, 30, 21, seed=77, round_id=0, shared=shared)
+        for k in (0, 17, 39):  # each target alone is a block of its own
+            alone = min_max_sweep(Z, active, 30, 21, seed=77, round_id=0, targets=[k], shared=shared)
+            assert alone[0][0] == whole[0][k] and alone[1][0] == whole[1][k]
 
 
-def test_threaded_sweep_over_many_blocks_is_bitwise_invariant(monkeypatch):
+def test_sweep_over_many_blocks_draws_each_target_once(monkeypatch):
     rng = np.random.default_rng(29)
     Z = influence_from(rng.standard_normal((210, 12)))
     active = np.arange(3, 210)  # n_U = 207; with m = 50 a block holds 48 targets
     m, n_sub = 50, subset_size(207, 0.5)
-    drawn, scored = [], []
-    uniforms, scores = subsample._uniforms, subsample._subset_scores
+    drawn = []
+    uniforms = subsample._uniforms
 
-    def draw_spy(seed, keys, *args, **kwargs):
-        drawn.append((len(keys), threading.get_ident()))
+    def spy(seed, keys, *args, **kwargs):
+        drawn.append(len(keys))
         return uniforms(seed, keys, *args, **kwargs)
 
-    def score_spy(*args):
-        scored.append(threading.get_ident())
-        return scores(*args)
-
-    monkeypatch.setattr(subsample, "_uniforms", draw_spy)
-    monkeypatch.setattr(subsample, "_subset_scores", score_spy)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # workers write t_min and t_max: interleave them often
-    try:
-        counts = (1, 2, 3, 5)
-        runs = sweeps_per_core_count(monkeypatch, counts, Z, active, m, n_sub, seed=41, round_id=1)
-    finally:
-        sys.setswitchinterval(interval)
-    for t_min, t_max in runs[1:]:
-        assert np.array_equal(t_min, runs[0][0])
-        assert np.array_equal(t_max, runs[0][1])
-    assert len(drawn) == len(counts) * 5 and sum(n for n, _ in drawn) == len(counts) * 207
-    assert {ident for _, ident in drawn} == {threading.get_ident()}  # drawn on the caller
-    # scored by workers at every count, a single core included: there is no serial branch
-    assert len(scored) == len(counts) * 5 and threading.get_ident() not in scored
+    monkeypatch.setattr(subsample, "_uniforms", spy)
+    runs = [min_max_sweep(Z, active, m, n_sub, seed=41, round_id=1) for _ in range(2)]
+    assert np.array_equal(runs[1][0], runs[0][0])
+    assert np.array_equal(runs[1][1], runs[0][1])
+    assert drawn == [48, 48, 48, 48, 15] * 2
     targets = np.array([209, 3, 100, 57, 150, 4], dtype=np.int64)
     part = min_max_sweep(Z, active, m, n_sub, seed=41, round_id=1, targets=targets)
     pos = targets - 3
