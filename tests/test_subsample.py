@@ -330,17 +330,6 @@ def test_extremes_are_monotone_in_the_subset_count():
 # ---------------------------------------------------------------------------
 
 
-def test_sweep_is_bitwise_invariant_to_target_blocking():
-    rng = np.random.default_rng(24)
-    Z = influence_from(rng.standard_normal((40, 15)))
-    active = np.arange(40)
-    for shared in (False, True):
-        whole = min_max_sweep(Z, active, 30, 21, seed=77, round_id=0, shared=shared)
-        for k in (0, 17, 39):  # each target alone is a block of its own
-            alone = min_max_sweep(Z, active, 30, 21, seed=77, round_id=0, targets=[k], shared=shared)
-            assert alone[0][0] == whole[0][k] and alone[1][0] == whole[1][k]
-
-
 def test_sweep_over_many_blocks_draws_each_target_once(monkeypatch):
     rng = np.random.default_rng(29)
     Z = influence_from(rng.standard_normal((210, 12)))
