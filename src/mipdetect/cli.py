@@ -401,8 +401,8 @@ def _column_error(e: DegenerateColumnError, rcol: int) -> CliError:
 
 
 def cmd_detect(args) -> int:
-    d, digest, rcol = load_dataset(args.input, args.delimiter, args.header, args.response_col)
     cfg = _config(args)
+    d, digest, rcol = load_dataset(args.input, args.delimiter, args.header, args.response_col)
     t0 = time.perf_counter()
     try:
         report = mip_detect(d, cfg)
@@ -436,8 +436,8 @@ def cmd_him(args) -> int:
 
 def cmd_plot_data(args) -> int:
     t0 = time.perf_counter()
-    Z, _ = _load_standardized(args)
     cfg = _config(args)
+    Z, _ = _load_standardized(args)
     cs = min_max_clean_set(Z, cfg)
     mip_report = checking_step(Z, cs.clean, cfg.alpha0)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .chi2_fdr import bh_select, chi2_1_sf_vec
 from .robust_stats import Dataset, EstimatorMode, InfluenceMatrix, standardize
-from .subsample import _scores, min_max_sweep, subset_size
+from .subsample import _KEY_R_BITS, _SHARED_OVERDRAW, _scores, min_max_sweep, subset_size
 
 
 class DegenerateShrinkageError(RuntimeError):
@@ -47,6 +47,11 @@ class MipConfig:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("m must be at least 1")
+        # every subset id of a draw stream must fit the stream key; the pool draws 2.5 m of them
+        ids = math.ceil(_SHARED_OVERDRAW * self.m) if self.shared_subsets else self.m
+        if ids > 1 << _KEY_R_BITS:
+            raise ValueError(f"m = {self.m} needs {ids} subset ids per stream; "
+                             f"the stream key holds {1 << _KEY_R_BITS}")
         if not 0.0 < self.k_sub < 1.0:
             raise ValueError("k_sub must be in (0, 1)")
         if not 0.0 < self.alpha < 1.0 or not 0.0 < self.alpha0 < 1.0:

@@ -133,37 +133,34 @@ def _select_medians(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.mean(rows[:, (n - 1) // 2 : h + 1], axis=1, out=out)
 
 
-def _finite_vector(v, what: str) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    if v.size == 0:
-        raise ValueError(f"{what} of an empty vector")
-    if not np.isfinite(v).all():
-        raise ValueError(f"{what} requires finite values")
-    return v.reshape(1, -1)
+def _location_scale(A: np.ndarray, mode: EstimatorMode):
+    """(A minus its column locations, the locations, the scales) of the n x q matrix A.
 
-
-def median(v: np.ndarray) -> float:
-    """Sample median; midpoint of the two central order statistics for even length."""
-    rows = _finite_vector(v, "median").copy()
-    return float(_select_medians(rows, np.empty(1))[0])
-
-
-def mad_scale(v: np.ndarray) -> float:
-    """Median absolute deviation times 1.4826.
-
-    The factor makes the estimate consistent for the standard deviation
-    under normality. A constant vector yields 0; callers that need a
-    positive scale must reject that themselves.
+    SAMPLE reduces the whole matrix along axis 0: the mean, then the
+    (n-1)-denominator standard deviation, and only then allocates the
+    centred copy, which can reuse the memory of np.std's temporaries.
+    ROBUST takes the median and 1.4826 * MAD over 1 MB column blocks, each
+    copied transposed so that its columns are contiguous rows, selected
+    for the median, then refilled with the absolute deviations. Its peak
+    memory is the centred copy plus one block.
     """
-    rows = _finite_vector(v, "mad_scale")
-    deviations = np.abs(rows - median(rows))
-    return MAD_SCALE_FACTOR * float(_select_medians(deviations, np.empty(1))[0])
-
-
-def _location_scale(v: np.ndarray, mode: EstimatorMode) -> tuple[float, float]:
-    if mode is EstimatorMode.ROBUST:
-        return median(v), mad_scale(v)
-    return float(np.mean(v)), float(np.std(v, ddof=1))
+    if mode is EstimatorMode.SAMPLE:
+        mu, sigma = np.mean(A, axis=0), np.std(A, axis=0, ddof=1)
+        return A - mu, mu, sigma
+    n, q = A.shape
+    width = max(1, _BLOCK_BYTES // (8 * n))
+    block = np.empty((min(width, q), n))
+    out, mu, sigma = np.empty((n, q)), np.empty(q), np.empty(q)
+    for j in range(0, q, width):
+        cols = slice(j, j + width)
+        rows = block[: min(width, q - j)]
+        np.copyto(rows, A[:, cols].T)
+        _select_medians(rows, mu[cols])
+        np.subtract(A[:, cols], mu[cols], out=out[:, cols])
+        np.abs(out[:, cols].T, out=rows)
+        _select_medians(rows, sigma[cols])
+    sigma *= MAD_SCALE_FACTOR
+    return out, mu, sigma
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +170,10 @@ def _location_scale(v: np.ndarray, mode: EstimatorMode) -> tuple[float, float]:
 
 def standardize(d: Dataset, mode: EstimatorMode = EstimatorMode.ROBUST) -> InfluenceMatrix:
     """Build the influence matrix from raw data.
+
+    The response and each predictor column get one (location, scale) from
+    ``_location_scale``, the response first. Z is centred, scaled, then
+    weighted by yhat in one n-by-p buffer.
 
     Parameters
     ----------
@@ -190,45 +191,22 @@ def standardize(d: Dataset, mode: EstimatorMode = EstimatorMode.ROBUST) -> Influ
     DegenerateColumnError
         If the response or any predictor column has zero scale.
     """
-    mu_y, sigma_y = _location_scale(d.y, mode)
+    centred_y, (mu_y,), (sigma_y,) = _location_scale(d.y[:, None], mode)
     if sigma_y <= 0.0:
         raise DegenerateColumnError(None)
-
-    # Z is built in one n-by-p buffer: centre, scale, then weight by yhat.
-    if mode is EstimatorMode.ROBUST:
-        # One column block at a time: copied transposed so that each column
-        # is a contiguous row, selected for mu_x, then refilled with |Z| for
-        # the MAD. Peak memory is Z plus one block.
-        n, p = d.X.shape
-        width = max(1, _BLOCK_BYTES // (8 * n))
-        block = np.empty((min(width, p), n))
-        Z, mu_x, sigma_x = np.empty((n, p)), np.empty(p), np.empty(p)
-        for j in range(0, p, width):
-            cols = slice(j, j + width)
-            rows = block[: min(width, p - j)]
-            np.copyto(rows, d.X[:, cols].T)
-            _select_medians(rows, mu_x[cols])
-            np.subtract(d.X[:, cols], mu_x[cols], out=Z[:, cols])
-            np.abs(Z[:, cols].T, out=rows)
-            _select_medians(rows, sigma_x[cols])
-        sigma_x *= MAD_SCALE_FACTOR
-    else:
-        mu_x = np.mean(d.X, axis=0)
-        sigma_x = np.std(d.X, axis=0, ddof=1)
-        Z = d.X - mu_x
+    Z, mu_x, sigma_x = _location_scale(d.X, mode)
     bad = np.flatnonzero(sigma_x <= 0.0)
     if bad.size:
         raise DegenerateColumnError(int(bad[0]))
-
-    yhat = (d.y - mu_y) / sigma_y
+    yhat = centred_y[:, 0] / sigma_y
     Z /= sigma_x
     Z *= yhat[:, None]
     return InfluenceMatrix(
         Z=Z,
         yhat=yhat,
-        mu_y=mu_y,
-        sigma_y=sigma_y,
-        mu_x=np.asarray(mu_x, dtype=np.float64),
-        sigma_x=np.asarray(sigma_x, dtype=np.float64),
+        mu_y=float(mu_y),
+        sigma_y=float(sigma_y),
+        mu_x=mu_x,
+        sigma_x=sigma_x,
         mode=mode,
     )

@@ -53,7 +53,8 @@ class ScenarioSpec:
             raise ValueError("n must be at least 4")
         if self.p < 1:
             raise ValueError("p must be at least 1")
-        if self.n_inf < 0 or self.n_inf >= self.n / 2:
+        # only the contaminated examples plant rows
+        if self.kind is not ScenarioKind.NULL and not 0 <= self.n_inf < self.n / 2:
             raise ValueError("n_inf must be below n/2")
         if not (math.isfinite(self.mu) and self.mu >= 0):
             raise ValueError("mu must be finite and nonnegative")
@@ -252,6 +253,7 @@ class ConvergenceError(RuntimeError):
 
 
 _KKT_TOL = 1e-7
+_FOLDS = 5  # cross-validation folds of lasso_fit
 _SIGMA = np.array([[1.0], [-1.0]])  # the two signs a joining variable can take
 
 
@@ -331,34 +333,27 @@ def default_lambda_grid(X: np.ndarray, y: np.ndarray, count: int = 50) -> np.nda
     return np.geomspace(lam_max, 1e-3 * lam_max, count)
 
 
-def lasso_fit(d: Dataset, lambdas=None, n_folds: int = 5):
-    """Lasso solution with the penalty chosen by cross-validation.
+def lasso_fit(d: Dataset) -> np.ndarray:
+    """Lasso coefficients with the penalty chosen by cross-validation.
 
     Minimizes 0.5 n^{-1} ||y - X beta||^2 + lambda ||beta||_1 exactly by
     following its piecewise-linear path down from lambda_max (the
-    homotopy of _lasso_path). With an explicit single-penalty ``lambdas``
-    the CV step is skipped. Folds are the deterministic interleaving
-    i mod n_folds. Every path point used must pass the KKT conditions to
-    1e-7, or ConvergenceError is raised. OpenBLAS runs on one thread.
-
-    Returns (beta_hat, support).
+    homotopy of _lasso_path), over default_lambda_grid. Folds are the
+    deterministic interleaving i mod _FOLDS. Every path point used must
+    pass the KKT conditions to 1e-7, or ConvergenceError is raised.
+    OpenBLAS runs on one thread.
     """
     X, y = d.X, d.y
-    grid = default_lambda_grid(X, y) if lambdas is None else np.atleast_1d(
-        np.asarray(lambdas, dtype=np.float64))
-    if (np.diff(grid) > 0).any() or (grid <= 0).any():
-        raise ValueError("penalty grid must be positive and non-increasing")
+    grid = default_lambda_grid(X, y)
     cv_mse = np.zeros(grid.size)
+    fold_id = np.arange(X.shape[0]) % _FOLDS
     with _one_blas_thread:
-        if grid.size > 1:
-            fold_id = np.arange(X.shape[0]) % n_folds
-            for f in range(n_folds):
-                tr = fold_id != f
-                path = _certified_path(X[tr], y[tr], grid)
-                cv_mse += ((path @ X[~tr].T - y[~tr]) ** 2).mean(axis=1)
+        for f in range(_FOLDS):
+            tr = fold_id != f
+            path = _certified_path(X[tr], y[tr], grid)
+            cv_mse += ((path @ X[~tr].T - y[~tr]) ** 2).mean(axis=1)
         best = int(np.argmin(cv_mse))  # ties: largest penalty wins
-        beta = _certified_path(X, y, grid[best : best + 1])[0]
-    return beta, np.flatnonzero(beta)
+        return _certified_path(X, y, grid[best : best + 1])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +395,8 @@ def run_experiment(
     for name in methods:
         if name not in KNOWN_METHODS:
             raise ValueError(f"unknown method {name!r}; choose from {', '.join(KNOWN_METHODS)}")
+        if methods.count(name) > 1:
+            raise ValueError(f"method {name!r} is listed more than once")
     with_fit = with_fit or "Full" in methods
 
     specs = list(specs)
@@ -457,8 +454,7 @@ def _run_one(labeled: LabeledDataset, name: str, cfg: MipConfig, with_fit: bool,
     kept = _clean_rows(n, flags) if with_fit else None
     if with_fit and kept.size >= 4:
         sub = Dataset(y=d.y[kept], X=d.X[kept])
-        beta_hat, _ = lasso_fit(sub)
-        err, tpr_vs, fpr_vs = fit_metrics(beta_hat, labeled.beta_true)
+        err, tpr_vs, fpr_vs = fit_metrics(lasso_fit(sub), labeled.beta_true)
         row.update(err=err, tpr_vs=tpr_vs, fpr_vs=fpr_vs)
     else:
         # a detector that flags nearly everything leaves nothing to refit;

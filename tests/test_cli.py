@@ -496,6 +496,36 @@ def test_unusable_inputs_exit_2(tmp_path):
     assert not (tmp_path / "s.csv").exists()  # no header-only table either
 
 
+def test_bad_run_settings_exit_2_before_the_input_is_read(tmp_path):
+    missing = tmp_path / "missing.csv"  # never opened: the settings fail first
+    outs = ["--report", tmp_path / "r.json", "--flags", tmp_path / "f.csv"]
+    out = ["--out", tmp_path / "s.csv"]
+    small = ["--n", 30, "--p", 40, "--n-inf", 2, "--reps", 1]
+    cases = [
+        (["detect", missing, "--m", 2**20 + 1, *outs], "m = 1048577 needs 1048577 subset ids"),
+        (["detect", missing, "--m", 500_000, "--shared-subsets", *outs],
+         "m = 500000 needs 1250000 subset ids"),
+        (["plot-data", missing, "--m", 2**20 + 1, *out], "m = 1048577 needs"),
+        (["simulate", "--example", "1", *small, "--m", 2**20 + 1, *out], "m = 1048577 needs"),
+        (["simulate", "--example", "1", *small, "--methods", "HIM,HIM", *out],
+         "method 'HIM' is listed more than once"),
+    ]
+    for argv, fragment in cases:
+        code, err = run_cli(argv)
+        assert code == 2, (argv, err)
+        assert fragment in err, (argv, err)
+    assert not (tmp_path / "s.csv").exists() and not (tmp_path / "r.json").exists()
+
+
+def test_simulate_null_runs_under_the_default_n_inf(tmp_path):
+    out = tmp_path / "null.csv"
+    code, err = run_cli(["simulate", "--example", "null", "--n", 20, "--p", 30, "--reps", 1,
+                         "--methods", "HIM", "--out", out])
+    assert code == 0, err
+    _, rows = read_rows(out)
+    assert [(r[0], r[-1]) for r in rows] == [("HIM", "1")]
+
+
 def test_too_small_working_sets_have_documented_exit_codes(tmp_path):
     rng = np.random.default_rng(14)
     X = rng.standard_normal((12, 6))
@@ -669,3 +699,15 @@ def test_readme_lists_exactly_the_mip_options():
     named = re.findall(r"`(--[a-z0-9-]+)`", sentence)
     assert len(named) == len(set(named))
     assert set(named) == {s for a in documented_mip_options() for s in a.option_strings}
+
+
+def test_readme_library_example_runs():
+    text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    section = text[text.index("## Library use") :]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    namespace: dict = {}
+    with contextlib.redirect_stdout(io.StringIO()) as printed:
+        exec(compile(code, "README.md (Library use)", "exec"), namespace)
+    # the three contaminated responses are flagged, and the prints go through
+    assert namespace["report"].flagged().tolist() == [0, 1, 2]
+    assert printed.getvalue().startswith("[0 1 2]\n")

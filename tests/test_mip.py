@@ -30,7 +30,7 @@ from mipdetect import (
 )
 from mipdetect.chi2_fdr import bh_select, chi2_1_sf_vec
 from mipdetect.robust_stats import InfluenceMatrix
-from mipdetect.subsample import min_max_sweep, subset_size
+from mipdetect.subsample import _KEY_R_BITS, _stream_key, min_max_sweep, subset_size
 
 from ground_truth import marginal_correlation
 
@@ -106,6 +106,19 @@ def test_config_is_frozen():
 def test_config_rejects_out_of_range(kwargs):
     with pytest.raises(ValueError):
         MipConfig(**kwargs)
+
+
+def test_config_bounds_m_by_the_subset_ids_the_stream_key_holds():
+    top = 1 << _KEY_R_BITS
+    _stream_key(0, 0, 0, top - 1)  # the last subset id that fits
+    with pytest.raises(ValueError, match="subset id does not fit"):
+        _stream_key(0, 0, 0, top)
+    # private targets draw subset ids 0..m-1; the pool draws ceil(2.5 m)
+    assert MipConfig(m=top).m == top
+    assert MipConfig(m=419_430, shared_subsets=True).m == 419_430  # 1048575 ids
+    for kwargs, ids in (({"m": top + 1}, top + 1), ({"m": 419_431, "shared_subsets": True}, 1_048_578)):
+        with pytest.raises(ValueError, match=f"m = {kwargs['m']} needs {ids} subset ids"):
+            MipConfig(**kwargs)
 
 
 def test_config_accepts_c_equal_one():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mipdetect import Dataset, DegenerateColumnError, EstimatorMode, standardize
-from mipdetect.robust_stats import _BLOCK_BYTES, MAD_SCALE_FACTOR, mad_scale, median
+from mipdetect.robust_stats import _BLOCK_BYTES, MAD_SCALE_FACTOR, _location_scale
 
 from ground_truth import marginal_correlation, robust_location_scale
 
@@ -18,13 +18,19 @@ def random_dataset(rng, n, p):
 # ---------------------------------------------------------------------------
 
 
+def robust_estimates(v):
+    """(median, 1.4826 * MAD) of one vector, through standardize's location/scale routine."""
+    _, (mu,), (sigma,) = _location_scale(np.array(v, dtype=np.float64)[:, None], EstimatorMode.ROBUST)
+    return mu, sigma
+
+
 def test_median_odd_length_is_the_middle_order_statistic():
-    assert median(np.array([1.0, 2.0, 3.0])) == 2.0
-    assert median(np.array([3.0, 1.0, 2.0])) == 2.0  # order must not matter
+    assert robust_estimates([1.0, 2.0, 3.0])[0] == 2.0
+    assert robust_estimates([3.0, 1.0, 2.0])[0] == 2.0  # order must not matter
 
 
 def test_median_even_length_is_the_midpoint():
-    assert median(np.array([1.0, 2.0, 3.0, 4.0])) == 2.5
+    assert robust_estimates([1.0, 2.0, 3.0, 4.0])[0] == 2.5
 
 
 def test_median_matches_full_sort_oracle_on_uniform_draws():
@@ -32,47 +38,48 @@ def test_median_matches_full_sort_oracle_on_uniform_draws():
     v = rng.uniform(size=1000)
     s = np.sort(v)
     oracle = 0.5 * (s[499] + s[500])  # even length: midpoint of the central pair
-    assert median(v) == oracle
-
-
-def test_median_rejects_empty_and_non_finite_input():
-    with pytest.raises(ValueError):
-        median(np.array([]))
-    with pytest.raises(ValueError):
-        median(np.array([1.0, np.nan]))
-    with pytest.raises(ValueError):
-        median(np.array([1.0, np.inf]))
+    assert robust_estimates(v)[0] == oracle
 
 
 def test_mad_scale_of_a_constant_vector_is_zero():
-    assert mad_scale(np.array([5.0, 5.0, 5.0])) == 0.0
+    assert robust_estimates([5.0, 5.0, 5.0])[1] == 0.0
 
 
 def test_mad_scale_hand_value():
     # deviations from the median 2 are (1, 0, 1), their median is 1
-    assert mad_scale(np.array([1.0, 2.0, 3.0])) == MAD_SCALE_FACTOR
+    assert robust_estimates([1.0, 2.0, 3.0])[1] == MAD_SCALE_FACTOR
     assert MAD_SCALE_FACTOR == 1.4826
 
 
 def test_mad_scale_is_consistent_for_the_normal_sd():
     rng = np.random.default_rng(11)
     v = rng.standard_normal(100_000)
-    assert abs(mad_scale(v) - 1.0) <= 0.02
-
-
-def test_mad_scale_rejects_empty_and_non_finite_input():
-    with pytest.raises(ValueError):
-        mad_scale(np.array([]))
-    with pytest.raises(ValueError):
-        mad_scale(np.array([np.nan, 1.0]))
+    assert abs(robust_estimates(v)[1] - 1.0) <= 0.02
 
 
 def test_location_scale_estimates_ignore_ordering():
     rng = np.random.default_rng(12)
     v = rng.standard_normal(101)
     q = rng.permutation(v)
-    assert median(v) == median(q)
-    assert mad_scale(v) == mad_scale(q)
+    assert robust_estimates(v) == robust_estimates(q)
+
+
+@pytest.mark.parametrize("p", [1, 7])
+def test_sample_standardize_matches_numpy_moments_byte_for_byte(p):
+    # the response against 1-D reductions, X against axis-0 ones
+    rng = np.random.default_rng(13 + p)
+    y = rng.standard_normal(257) * 1e3 + 7.0
+    X = rng.standard_normal((257, p)) * np.geomspace(1e-6, 1e6, p) - 3.0
+    got = standardize(Dataset(y=y, X=X), EstimatorMode.SAMPLE)
+    mu_y, sigma_y = np.mean(y), np.std(y, ddof=1)
+    mu_x, sigma_x = np.mean(X, axis=0), np.std(X, axis=0, ddof=1)
+    yhat = (y - mu_y) / sigma_y
+    assert np.float64(got.mu_y).tobytes() == mu_y.tobytes()
+    assert np.float64(got.sigma_y).tobytes() == sigma_y.tobytes()
+    assert got.mu_x.tobytes() == mu_x.tobytes()
+    assert got.sigma_x.tobytes() == sigma_x.tobytes()
+    assert got.yhat.tobytes() == yhat.tobytes()
+    assert got.Z.tobytes() == ((X - mu_x) / sigma_x * yhat[:, None]).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +269,9 @@ def test_robust_standardize_matches_the_np_median_oracle_byte_for_byte(kind, n, 
     for j in range(min(p, 5)):
         v = X[:, j].copy()
         _, mu, sigma = robust_location_scale(v[:, None])
-        assert np.float64(median(v)).tobytes() == mu.tobytes()
-        assert np.float64(mad_scale(v)).tobytes() == sigma.tobytes()
+        got_mu, got_sigma = robust_estimates(v)
+        assert got_mu.tobytes() == mu.tobytes()
+        assert got_sigma.tobytes() == sigma.tobytes()
         assert v.tobytes() == X[:, j].tobytes()  # the input is not reordered
 
 

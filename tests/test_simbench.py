@@ -21,6 +21,7 @@ from mipdetect.simbench import (
     _beta_from_head,
     _BETA_HEAD_MASKING,
     _BETA_HEAD_SWAMPING,
+    _certified_path,
     _lasso_path,
     _streams,
     default_lambda_grid,
@@ -281,14 +282,13 @@ def lasso_toy(seed=42, n=60, p=12):
 def test_lasso_full_shrinkage_at_lambda_max():
     d = lasso_toy()
     lam_max = float(np.abs(d.X.T @ d.y).max()) / d.n
-    beta, support = lasso_fit(d, lambdas=[lam_max])
+    beta = _certified_path(d.X, d.y, [lam_max])[0]
     assert np.all(beta == 0.0)
-    assert support.size == 0
 
 
 def test_lasso_orthonormal_soft_threshold():
     d = lasso_toy()
-    beta, _ = lasso_fit(d, lambdas=[0.1])
+    beta = _certified_path(d.X, d.y, [0.1])[0]
     z = d.X.T @ d.y / d.n
     oracle = np.sign(z) * np.maximum(np.abs(z) - 0.1, 0.0)
     assert np.max(np.abs(beta - oracle)) <= 1e-6
@@ -371,19 +371,7 @@ def test_lasso_with_uncorrelated_response_is_zero_everywhere(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", no_solve)
     grid = default_lambda_grid(X, y)
     assert np.all(_lasso_path(X, y, grid) == 0.0)
-    beta, support = lasso_fit(Dataset(y=y, X=X))
-    assert np.all(beta == 0.0)
-    assert support.size == 0
-
-
-def test_lasso_rejects_increasing_grid():
-    d = lasso_toy()
-    with pytest.raises(ValueError):
-        lasso_fit(d, lambdas=[0.1, 0.2])
-    with pytest.raises(ValueError):
-        lasso_fit(d, lambdas=[0.1, -0.1])
-    with pytest.raises(ValueError, match="penalty grid must be positive and non-increasing"):
-        lasso_fit(d, lambdas=[0.1, 0.0])
+    assert np.all(lasso_fit(Dataset(y=y, X=X)) == 0.0)
 
 
 def test_lasso_fit_rejects_a_path_that_fails_kkt(monkeypatch):
@@ -397,7 +385,7 @@ def test_lasso_fit_rejects_a_path_that_fails_kkt(monkeypatch):
     monkeypatch.setattr(simbench, "_lasso_path", nudged)
     d = lasso_toy()
     with pytest.raises(ConvergenceError):
-        lasso_fit(d, lambdas=[0.01])
+        _certified_path(d.X, d.y, [0.01])
     with pytest.raises(ConvergenceError):
         lasso_fit(d)
 
@@ -405,10 +393,7 @@ def test_lasso_fit_rejects_a_path_that_fails_kkt(monkeypatch):
 def test_lasso_cv_is_deterministic():
     spec = ScenarioSpec(kind=ScenarioKind.EXAMPLE2, mu=4.0, n=40, p=60, n_inf=5, seed=1)
     d = gen_scenario(spec).data
-    b1, s1 = lasso_fit(d)
-    b2, s2 = lasso_fit(d)
-    assert np.array_equal(b1, b2)
-    assert np.array_equal(s1, s2)
+    assert lasso_fit(d).tobytes() == lasso_fit(d).tobytes()
 
 
 def test_default_lambda_grid_shape():
@@ -483,6 +468,21 @@ def test_run_experiment_single_rep_reproducible():
     assert a[0].reps == 1
     assert a[0].method == "MIP"
     assert a[0].mu == 6.0
+
+
+def test_run_experiment_rejects_a_repeated_method():
+    spec = ScenarioSpec(kind=ScenarioKind.EXAMPLE1, mu=6.0, n=30, p=40, n_inf=2, seed=0)
+    with pytest.raises(ValueError, match="method 'HIM' is listed more than once"):
+        run_experiment([spec], ["HIM", "MIP", "HIM"], 1)
+
+
+def test_only_the_contaminated_examples_bound_n_inf():
+    # the null scenario plants no rows, so the default n_inf = 10 must not stop n = 20
+    assert ScenarioSpec(kind=ScenarioKind.NULL, n=20, p=30).n_inf == 10
+    for kind in (ScenarioKind.EXAMPLE1, ScenarioKind.EXAMPLE2):
+        for n_inf in (10, -1):
+            with pytest.raises(ValueError, match="n_inf must be below n/2"):
+                ScenarioSpec(kind=kind, n=20, p=30, n_inf=n_inf)
 
 
 def test_run_experiment_validates_inputs():

@@ -471,7 +471,7 @@ def pinned_products(threads_on_entry=None):
         blas[1](threads_on_entry)
     targets = np.array([0, 117, 199], dtype=np.int64)
     t_min, t_max = min_max_sweep(Z, np.arange(200), 100, 101, seed=13, round_id=2, targets=targets)
-    return t_min.tobytes() + t_max.tobytes(), lasso_fit(data)[0].tobytes()
+    return t_min.tobytes() + t_max.tobytes(), lasso_fit(data).tobytes()
 
 
 @needs_openblas
