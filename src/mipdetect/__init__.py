@@ -4,11 +4,10 @@ __version__ = "0.1.0"
 
 from .chi2_fdr import (
     BhResult,
-    PValueSet,
     bh_select,
     chi2_1_sf_vec,
 )
-from .him import HimScores, him_detect, him_scores
+from .him import him_detect, him_scores
 from .mip import (
     CleanSetResult,
     DegenerateShrinkageError,
@@ -16,6 +15,7 @@ from .mip import (
     MipConfig,
     checking_statistics_all,
     checking_step,
+    first_sweep,
     max_detect,
     min_max_clean_set,
     min_multiround_detect,
@@ -45,10 +45,8 @@ from .subsample import min_max_sweep, subset_size
 __all__ = [
     "__version__",
     "BhResult",
-    "PValueSet",
     "bh_select",
     "chi2_1_sf_vec",
-    "HimScores",
     "him_detect",
     "him_scores",
     "CleanSetResult",
@@ -57,6 +55,7 @@ __all__ = [
     "MipConfig",
     "checking_statistics_all",
     "checking_step",
+    "first_sweep",
     "max_detect",
     "min_max_clean_set",
     "min_multiround_detect",

@@ -13,21 +13,6 @@ P_EPS = 1e-300
 
 
 @dataclass(frozen=True)
-class PValueSet:
-    """A vector of p-values aligned with observation indices."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1:
-            raise ValueError("p-values must form a vector")
-        if np.isnan(v).any() or (v < 0).any() or (v > 1).any():
-            raise ValueError("p-values must lie in [0, 1]")
-        object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True)
 class BhResult:
     """Outcome of the step-up procedure.
 
@@ -52,13 +37,17 @@ def chi2_1_sf_vec(t: np.ndarray) -> np.ndarray:
 def bh_select(p, alpha0: float) -> BhResult:
     """Benjamini-Hochberg step-up selection at FDR level alpha0.
 
-    Accepts a PValueSet or a plain vector. The threshold is the largest
+    ``p`` is a vector of p-values in [0, 1]. The threshold is the largest
     order statistic p_(k) with p_(k) <= k * alpha0 / n; everything at or
     below it is rejected (ties are rejected together).
     """
     if not (0.0 < alpha0 < 1.0):
         raise ValueError("alpha0 must be in (0, 1)")
-    values = p.values if isinstance(p, PValueSet) else PValueSet(np.asarray(p)).values
+    values = np.asarray(p, dtype=np.float64)
+    if values.ndim != 1:
+        raise ValueError("p-values must form a vector")
+    if np.isnan(values).any() or (values < 0).any() or (values > 1).any():
+        raise ValueError("p-values must lie in [0, 1]")
     n = values.shape[0]
     if n == 0:
         return BhResult(rejected=np.empty(0, dtype=np.intp), threshold=None, alpha0=alpha0)

@@ -23,7 +23,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .chi2_fdr import bh_select, chi2_1_sf_vec, log10_pvalues
+from .chi2_fdr import chi2_1_sf_vec, log10_pvalues
 from .him import him_detect
 from .mip import (
     DegenerateShrinkageError,
@@ -31,6 +31,8 @@ from .mip import (
     MipConfig,
     checking_statistics_all,
     checking_step,
+    first_sweep,
+    max_detect,
     min_max_clean_set,
     min_multiround_detect,
     mip_detect,
@@ -425,6 +427,8 @@ def _load_standardized(args):
 def cmd_him(args) -> int:
     if not 0 <= args.seed < 2**64:  # HIM draws nothing, but its manifest names a usable seed
         raise ValueError("seed must be an integer in [0, 2**64)")
+    if not 0.0 < args.alpha0 < 1.0:
+        raise ValueError("alpha0 must be in (0, 1)")
     t0 = time.perf_counter()
     Z, digest = _load_standardized(args)
     report = him_detect(Z, args.alpha0)
@@ -438,23 +442,20 @@ def cmd_plot_data(args) -> int:
     t0 = time.perf_counter()
     cfg = _config(args)
     Z, _ = _load_standardized(args)
-    cs = min_max_clean_set(Z, cfg)
-    mip_report = checking_step(Z, cs.clean, cfg.alpha0)
-
-    p_min = chi2_1_sf_vec(cs.first_t_min)
-    p_max = chi2_1_sf_vec(cs.first_t_max)
-    max_flags = np.zeros(Z.n, dtype=bool)
-    max_flags[bh_select(p_max, cfg.alpha0).rejected] = True
-    min_flags = min_multiround_detect(Z, cfg).records.influential
+    first = first_sweep(Z, cfg)
+    cs = min_max_clean_set(Z, cfg, first)
+    mip_flags = checking_step(Z, cs.clean, cfg.alpha0).records.influential
+    max_rec = max_detect(Z, cfg, first).records
+    min_rec = min_multiround_detect(Z, cfg, first).records
     p_check = chi2_1_sf_vec(checking_statistics_all(Z, cs.clean))
 
     columns = (
-        log10_pvalues(p_max),
-        log10_pvalues(p_min),
+        log10_pvalues(max_rec.p_value),
+        log10_pvalues(min_rec.p_value),
         log10_pvalues(p_check),
-        mip_report.records.influential,
-        max_flags,
-        min_flags,
+        mip_flags,
+        max_rec.influential,
+        min_rec.influential,
     )
     _write_text(
         args.out,

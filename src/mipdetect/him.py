@@ -8,23 +8,15 @@ chi-square(1), so detection is BH selection on the tail probabilities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .chi2_fdr import PValueSet, bh_select, chi2_1_sf_vec
+from .chi2_fdr import bh_select, chi2_1_sf_vec
 from .mip import DetectionReport, report_records
 from .robust_stats import InfluenceMatrix
 from .subsample import _scores
 
 
-@dataclass(frozen=True)
-class HimScores:
-    statistics: np.ndarray
-    pvalues: PValueSet
-
-
-def him_scores(Z: InfluenceMatrix) -> HimScores:
+def him_scores(Z: InfluenceMatrix) -> np.ndarray:
     """Leave-one-out statistics for all observations in one pass.
 
     n^2 * D_k = p^{-1} || Z_k - mean of the other rows ||^2: the other
@@ -38,16 +30,15 @@ def him_scores(Z: InfluenceMatrix) -> HimScores:
     c = Z.Z.sum(axis=0)
     R = Z.Z @ c
     K_kk = np.einsum("ij,ij->i", Z.Z, Z.Z)
-    stats = _scores(c @ c - 2.0 * R + K_kk, R - K_kk, K_kk, n - 1, Z.p)
-    return HimScores(statistics=stats, pvalues=PValueSet(chi2_1_sf_vec(stats)))
+    return _scores(c @ c - 2.0 * R + K_kk, R - K_kk, K_kk, n - 1, Z.p)
 
 
 def him_detect(Z: InfluenceMatrix, alpha0: float = 0.05) -> DetectionReport:
     """BH selection at alpha0 over the leave-one-out p-values."""
-    scores = him_scores(Z)
+    stats = him_scores(Z)
+    pvals = chi2_1_sf_vec(stats)
     records = report_records(
-        Z.n, bh_select(scores.pvalues, alpha0).rejected,
-        p_value=scores.pvalues.values, statistic=scores.statistics,
+        Z.n, bh_select(pvals, alpha0).rejected, p_value=pvals, statistic=stats
     )
     config = {"alpha0": alpha0, "estimator": Z.mode.value}
     return DetectionReport(method="him", records=records, config=config, rounds_used=1)

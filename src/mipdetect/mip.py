@@ -120,16 +120,13 @@ class CleanSetResult:
     ``removed`` is the ordered trail of (round, step, indices): every
     Min-Step removal plus, once the stop test passes, the surviving
     Max-Step rejections. ``clean`` and the union of all removed indices
-    partition the sample. First-pass T statistics (full data) ride along
-    for reporting.
+    partition the sample.
     """
 
     clean: np.ndarray
     removed: list
     rounds_used: int
     hit_iteration_cap: bool
-    first_t_min: np.ndarray
-    first_t_max: np.ndarray
 
 
 def _is_workable(n_active: int, n_sub: int) -> bool:
@@ -163,7 +160,16 @@ def _check_sample_size(n: int, k_sub: float) -> None:
     )
 
 
-def min_max_clean_set(Z: InfluenceMatrix, cfg: MipConfig) -> CleanSetResult:
+def first_sweep(Z: InfluenceMatrix, cfg: MipConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(t_min, t_max) over every row at stream round 0: where every detector starts.
+
+    Raises ValueError when the sample is too small for subsets at cfg.k_sub.
+    """
+    _check_sample_size(Z.n, cfg.k_sub)
+    return _sweep(Z, np.arange(Z.n, dtype=np.int64), cfg, 0, 1)
+
+
+def min_max_clean_set(Z: InfluenceMatrix, cfg: MipConfig, first: tuple) -> CleanSetResult:
     """Alternate Min and Max steps until a large enough clean set remains.
 
     Each round: T_min over the working set, BH at cfg.alpha decides
@@ -171,23 +177,21 @@ def min_max_clean_set(Z: InfluenceMatrix, cfg: MipConfig) -> CleanSetResult:
     rejection set. If removing it would keep at least c*n of the ORIGINAL
     sample, that remainder is the clean set. A Min-Step that selects
     nothing while the stop test fails falls back to removing the l0
-    smallest p-values.
+    smallest p-values. ``first`` is ``first_sweep(Z, cfg)``, round 1's sweep.
     """
     n = Z.n
     S = np.arange(n, dtype=np.int64)
     removed: list = []
-    sweep_no = 0
-    first_t_min = first_t_max = None
+    sweep_no = 1
     l0 = cfg.resolve_l0(n)
     # tiny slack so c*n (inexact for some c) compares as intended
     stop_at = cfg.c * n - 1e-9
 
-    _check_sample_size(n, cfg.k_sub)
+    t_min, t_max = first
     for round_no in range(1, cfg.max_rounds + 1):
-        t_min, t_max = _sweep(Z, S, cfg, sweep_no, round_no)
-        sweep_no += 1
-        if first_t_min is None:
-            first_t_min, first_t_max = t_min, t_max
+        if round_no > 1:
+            t_min, t_max = _sweep(Z, S, cfg, sweep_no, round_no)
+            sweep_no += 1
         p_min = chi2_1_sf_vec(t_min)
         hits = np.sort(bh_select(p_min, cfg.alpha).rejected)
         min_step_empty = hits.size == 0
@@ -212,8 +216,6 @@ def min_max_clean_set(Z: InfluenceMatrix, cfg: MipConfig) -> CleanSetResult:
                 removed=removed,
                 rounds_used=round_no,
                 hit_iteration_cap=not stop,
-                first_t_min=first_t_min,
-                first_t_max=first_t_max,
             )
 
         if min_step_empty:
@@ -294,7 +296,8 @@ def checking_statistics_all(Z: InfluenceMatrix, S_c) -> np.ndarray:
 def mip_detect(d: Dataset, cfg: MipConfig = MipConfig()) -> DetectionReport:
     """Full pipeline: standardize, estimate a clean set, check suspects."""
     Z = standardize(d, cfg.estimator)
-    cs = min_max_clean_set(Z, cfg)
+    first = first_sweep(Z, cfg)
+    cs = min_max_clean_set(Z, cfg, first)
     report = checking_step(Z, cs.clean, cfg.alpha0)
 
     report.method = "mip"
@@ -302,15 +305,13 @@ def mip_detect(d: Dataset, cfg: MipConfig = MipConfig()) -> DetectionReport:
     report.rounds_used = cs.rounds_used
     report.hit_iteration_cap = cs.hit_iteration_cap
     report.removed = cs.removed
-    report.records.t_min = cs.first_t_min
-    report.records.t_max = cs.first_t_max
+    report.records.t_min, report.records.t_max = first
     return report
 
 
-def max_detect(Z: InfluenceMatrix, cfg: MipConfig = MipConfig()) -> DetectionReport:
-    """Single-pass detector on T_max with BH at alpha0."""
-    _check_sample_size(Z.n, cfg.k_sub)
-    t_min, t_max = _sweep(Z, np.arange(Z.n), cfg, 0, 1)
+def max_detect(Z: InfluenceMatrix, cfg: MipConfig, first: tuple) -> DetectionReport:
+    """BH at alpha0 on the T_max of ``first``, which is ``first_sweep(Z, cfg)``."""
+    t_min, t_max = first
     pvals = chi2_1_sf_vec(t_max)
     records = report_records(
         Z.n, bh_select(pvals, cfg.alpha0).rejected,
@@ -319,23 +320,22 @@ def max_detect(Z: InfluenceMatrix, cfg: MipConfig = MipConfig()) -> DetectionRep
     return DetectionReport(method="max", records=records, config=cfg.echo(), rounds_used=1)
 
 
-def min_multiround_detect(Z: InfluenceMatrix, cfg: MipConfig = MipConfig()) -> DetectionReport:
+def min_multiround_detect(Z: InfluenceMatrix, cfg: MipConfig, first: tuple) -> DetectionReport:
     """Repeated T_min rounds, removing BH rejections until a round is quiet.
 
-    The union of removals across rounds is the influential set; the
-    expected false positive rate is bounded by alpha0 / (1 - alpha0).
+    Round 1 reads ``first``, which is ``first_sweep(Z, cfg)``. The union of
+    removals across rounds is the influential set; the expected false
+    positive rate is bounded by alpha0 / (1 - alpha0).
     """
     n = Z.n
     U = np.arange(n, dtype=np.int64)
     flagged: list[int] = []
-    first_t_min = first_t_max = first_p = None
+    t_min, t_max = first
+    pvals = first_p = chi2_1_sf_vec(t_min)
 
-    _check_sample_size(n, cfg.k_sub)
     for round_no in range(1, cfg.max_rounds + 1):
-        t_min, t_max = _sweep(Z, U, cfg, round_no - 1, round_no)
-        pvals = chi2_1_sf_vec(t_min)
-        if first_t_min is None:
-            first_t_min, first_t_max, first_p = t_min, t_max, pvals
+        if round_no > 1:
+            pvals = chi2_1_sf_vec(_sweep(Z, U, cfg, round_no - 1, round_no)[0])
         hits = np.sort(bh_select(pvals, cfg.alpha0).rejected)
         if hits.size == 0:
             break
@@ -343,7 +343,7 @@ def min_multiround_detect(Z: InfluenceMatrix, cfg: MipConfig = MipConfig()) -> D
         U = np.delete(U, hits)
 
     records = report_records(
-        n, flagged, p_value=first_p, statistic=first_t_min, t_min=first_t_min, t_max=first_t_max
+        n, flagged, p_value=first_p, statistic=t_min, t_min=t_min, t_max=t_max
     )
     return DetectionReport(
         method="min",

@@ -11,6 +11,7 @@ scored.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -19,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .him import him_detect
-from .mip import MipConfig, max_detect, min_multiround_detect, mip_detect
+from .mip import MipConfig, first_sweep, max_detect, min_multiround_detect, mip_detect
 from .robust_stats import Dataset, standardize
 from .subsample import _one_blas_thread
 
@@ -407,10 +408,12 @@ def run_experiment(
             data_seed, det_seed = _rep_seeds(spec.seed, rep)
             labeled = gen_scenario(replace(spec, seed=data_seed))
             rep_cfg = replace(cfg, seed=det_seed)
-            z_cache: dict = {}  # one standardization shared across methods
+            # built on first use and shared by the methods that read them
+            Z = functools.cache(functools.partial(standardize, labeled.data, rep_cfg.estimator))
+            first = functools.cache(lambda: first_sweep(Z(), rep_cfg))
             for name in methods:
                 try:
-                    row = _run_one(labeled, name, rep_cfg, with_fit, z_cache)
+                    row = _run_one(labeled, name, rep_cfg, with_fit, Z, first)
                 except Exception as e:
                     log.warning("rep %d of %s failed for %s: %s", rep, spec.kind.value, name, e)
                     continue
@@ -424,23 +427,20 @@ def run_experiment(
     return out
 
 
-def _run_one(labeled: LabeledDataset, name: str, cfg: MipConfig, with_fit: bool, z_cache: dict):
+def _run_one(labeled: LabeledDataset, name: str, cfg: MipConfig, with_fit: bool, Z, first):
+    """One method's metrics on one rep; ``Z()`` and ``first()`` give the rep's shared inputs."""
     d = labeled.data
     n = d.n
     if name == "Full":
         flags = np.empty(0, dtype=np.int64)
     elif name == "MIP":
         flags = mip_detect(d, cfg).flagged()
+    elif name == "HIM":
+        flags = him_detect(Z(), cfg.alpha0).flagged()
+    elif name == "MaxOnly":
+        flags = max_detect(Z(), cfg, first()).flagged()
     else:
-        if "Z" not in z_cache:
-            z_cache["Z"] = standardize(d, cfg.estimator)
-        Z = z_cache["Z"]
-        if name == "HIM":
-            flags = him_detect(Z, cfg.alpha0).flagged()
-        elif name == "MaxOnly":
-            flags = max_detect(Z, cfg).flagged()
-        else:
-            flags = min_multiround_detect(Z, cfg).flagged()
+        flags = min_multiround_detect(Z(), cfg, first()).flagged()
 
     row: dict = {}
     if name == "Full":

@@ -6,14 +6,18 @@ reads from here so the suite pays for each experiment exactly once.
 Seeds are fixed per fixture and never shared between fixtures.
 """
 
+import collections
+
 import numpy as np
 import pytest
 
+import mipdetect.mip
 from mipdetect import (
     EstimatorMode,
     MipConfig,
     ScenarioKind,
     ScenarioSpec,
+    first_sweep,
     gen_scenario,
     him_detect,
     max_detect,
@@ -24,7 +28,6 @@ from mipdetect import (
     standardize,
 )
 from mipdetect.cli import main as cli_main
-from mipdetect.subsample import min_max_sweep, subset_size
 
 
 def rows_by_method(rows):
@@ -52,6 +55,20 @@ def parse_results_csv(text: str):
                 row[key] = float(cell)
         out.append(row)
     return out
+
+
+@pytest.fixture
+def sweep_calls(monkeypatch):
+    """Counts of the sweeps the detectors run, keyed by (seed, round id, working set bytes)."""
+    calls = collections.Counter()
+    sweep = mipdetect.mip.min_max_sweep
+
+    def counting(Z, active, m, n_sub, seed, round_id, **kwargs):
+        calls[(seed, round_id, np.asarray(active, dtype=np.int64).tobytes())] += 1
+        return sweep(Z, active, m, n_sub, seed, round_id, **kwargs)
+
+    monkeypatch.setattr(mipdetect.mip, "min_max_sweep", counting)
+    return calls
 
 
 @pytest.fixture(scope="session")
@@ -103,7 +120,7 @@ def minmulti_rows():
 
 @pytest.fixture(scope="session")
 def null_bundle():
-    """Ten clean n=100, p=500 datasets: pooled sweep statistics and detector flags."""
+    """Ten clean n=100, p=500 datasets: pooled first-sweep statistics and detector flags."""
     t_min_pool, t_max_pool = [], []
     mip_flags, him_flags, max_flags, min_flags, clean_sizes = [], [], [], [], []
     for rep in range(10):
@@ -113,16 +130,15 @@ def null_bundle():
         labeled = gen_scenario(spec)
         Z = standardize(labeled.data, EstimatorMode.ROBUST)
         cfg = MipConfig(m=100, seed=rep)
-        n_sub = subset_size(Z.n, cfg.k_sub)
-        t_min, t_max = min_max_sweep(Z, np.arange(Z.n), cfg.m, n_sub, cfg.seed, 0)
-        t_min_pool.append(t_min)
-        t_max_pool.append(t_max)
+        first = first_sweep(Z, cfg)
+        t_min_pool.append(first[0])
+        t_max_pool.append(first[1])
         report = mip_detect(labeled.data, cfg)
         mip_flags.append(report.flagged())
         clean_sizes.append(report.clean_set.size)
         him_flags.append(him_detect(Z, cfg.alpha0).flagged())
-        max_flags.append(max_detect(Z, cfg).flagged())
-        min_flags.append(min_multiround_detect(Z, cfg).flagged())
+        max_flags.append(max_detect(Z, cfg, first).flagged())
+        min_flags.append(min_multiround_detect(Z, cfg, first).flagged())
     return {
         "n": 100,
         "t_min": np.concatenate(t_min_pool),
@@ -151,7 +167,7 @@ def ex1_mu7_bundle():
                 "labeled": labeled,
                 "Z": Z,
                 "mip": mip_detect(labeled.data, cfg),
-                "max": max_detect(Z, cfg),
+                "max": max_detect(Z, cfg, first_sweep(Z, cfg)),
             }
         )
     return reps
@@ -167,7 +183,8 @@ def ex1_mu6_cleansets():
         )
         labeled = gen_scenario(spec)
         Z = standardize(labeled.data, EstimatorMode.ROBUST)
-        cs = min_max_clean_set(Z, MipConfig(m=100, seed=rep))
+        cfg = MipConfig(m=100, seed=rep)
+        cs = min_max_clean_set(Z, cfg, first_sweep(Z, cfg))
         out.append((cs, labeled.truth))
     return out
 

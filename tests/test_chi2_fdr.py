@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from mipdetect import PValueSet, bh_select, chi2_1_sf_vec
+from mipdetect import bh_select, chi2_1_sf_vec
 from mipdetect.chi2_fdr import clamp_pvalues, log10_pvalues
 
 from ground_truth import chi2_1_quantile, chi2_1_sf
@@ -199,11 +199,11 @@ def test_bh_validates_alpha0_and_pvalues():
 
 
 def test_pvalue_set_validates_the_unit_interval():
-    PValueSet(np.array([0.0, 0.5, 1.0]))
-    with pytest.raises(ValueError):
-        PValueSet(np.array([-0.1]))
-    with pytest.raises(ValueError):
-        PValueSet(np.array([np.nan]))
+    bh_select(np.array([0.0, 0.5, 1.0]), 0.05)
+    with pytest.raises(ValueError, match=r"p-values must lie in \[0, 1\]"):
+        bh_select(np.array([-0.1]), 0.05)
+    with pytest.raises(ValueError, match=r"p-values must lie in \[0, 1\]"):
+        bh_select(np.array([np.nan]), 0.05)
 
 
 # ---------------------------------------------------------------------------

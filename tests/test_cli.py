@@ -17,9 +17,17 @@ import numpy as np
 import pytest
 
 from mipdetect import __version__
+from mipdetect.chi2_fdr import chi2_1_sf_vec, log10_pvalues
 from mipdetect.cli import _add_mip_opts, _cell, build_parser, load_dataset, main
 from mipdetect.him import him_detect
-from mipdetect.mip import MipConfig, mip_detect
+from mipdetect.mip import (
+    MipConfig,
+    checking_statistics_all,
+    first_sweep,
+    max_detect,
+    min_multiround_detect,
+    mip_detect,
+)
 from mipdetect.robust_stats import Dataset, EstimatorMode, standardize
 from mipdetect.simbench import ScenarioKind, ScenarioSpec, gen_scenario
 
@@ -318,12 +326,18 @@ def test_detect_matches_library_bit_for_bit(tmp_path, small_csv):
     assert [o["clean_member"] for o in obs] == np.isin(np.arange(60), ref.clean_set).tolist()
 
 
-def test_plot_data_schema_and_flag_nesting(tmp_path):
+def swamping_csv(tmp_path):
+    """An n=60, p=200 Example 2 draw as (dataset, CSV path)."""
     lab = gen_scenario(
         ScenarioSpec(kind=ScenarioKind.EXAMPLE2, mu=8.0, n=60, p=200, n_inf=6, seed=0)
     )
     csv = tmp_path / "ex2.csv"
     write_csv(csv, lab.data.y, lab.data.X)
+    return lab.data, csv
+
+
+def test_plot_data_schema_and_flag_nesting(tmp_path):
+    _, csv = swamping_csv(tmp_path)
     out = tmp_path / "pvalues.csv"
     code, _ = run_cli(["plot-data", csv, "--m", 50, "--seed", 0, "--out", out])
     assert code == 0
@@ -348,6 +362,36 @@ def test_plot_data_schema_and_flag_nesting(tmp_path):
     # stays on the planted cluster, so its flag set nests inside Max's
     assert min_set <= max_set
     assert len(max_set) > len(min_set)
+
+
+def test_plot_data_columns_are_the_library_detectors(tmp_path):
+    data, csv = swamping_csv(tmp_path)
+    out = tmp_path / "pvalues.csv"
+    assert run_cli(["plot-data", csv, "--m", 50, "--seed", 0, "--out", out])[0] == 0
+
+    cfg = MipConfig(m=50, seed=0)
+    Z = standardize(data, cfg.estimator)
+    first = first_sweep(Z, cfg)
+    mip = mip_detect(data, cfg)
+    max_rec = max_detect(Z, cfg, first).records
+    min_rec = min_multiround_detect(Z, cfg, first).records
+    want = (
+        log10_pvalues(max_rec.p_value),
+        log10_pvalues(min_rec.p_value),
+        log10_pvalues(chi2_1_sf_vec(checking_statistics_all(Z, mip.clean_set))),
+        mip.records.influential,
+        max_rec.influential,
+        min_rec.influential,
+    )
+    _, rows = read_rows(out)
+    for j, column in enumerate(want, start=1):
+        assert [r[j] for r in rows] == [_cell(v) for v in column.tolist()], j
+
+
+def test_plot_data_sweeps_the_first_working_set_once(tmp_path, sweep_calls):
+    _, csv = swamping_csv(tmp_path)
+    assert run_cli(["plot-data", csv, "--m", 50, "--seed", 0, "--out", tmp_path / "p.csv"])[0] == 0
+    assert sweep_calls[(0, 0, np.arange(60, dtype=np.int64).tobytes())] == 1
 
 
 def test_simulate_is_deterministic(tmp_path):
@@ -506,6 +550,7 @@ def test_bad_run_settings_exit_2_before_the_input_is_read(tmp_path):
         (["detect", missing, "--m", 500_000, "--shared-subsets", *outs],
          "m = 500000 needs 1250000 subset ids"),
         (["plot-data", missing, "--m", 2**20 + 1, *out], "m = 1048577 needs"),
+        (["him", missing, "--alpha0", 2, *outs], "alpha0 must be in (0, 1)"),
         (["simulate", "--example", "1", *small, "--m", 2**20 + 1, *out], "m = 1048577 needs"),
         (["simulate", "--example", "1", *small, "--methods", "HIM,HIM", *out],
          "method 'HIM' is listed more than once"),

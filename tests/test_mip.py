@@ -19,6 +19,7 @@ from mipdetect import (
     ScenarioSpec,
     checking_statistics_all,
     checking_step,
+    first_sweep,
     gen_scenario,
     him_detect,
     him_scores,
@@ -155,18 +156,20 @@ def test_clean_set_raises_when_working_set_too_small():
     y[:2] += 30.0
     Z = standardize(Dataset(y=y, X=X), EstimatorMode.SAMPLE)
     cfg = MipConfig(m=8, c=1.0, l0=2, max_rounds=10, seed=1)
-    capped = min_max_clean_set(Z, dataclasses.replace(cfg, max_rounds=4))
+    capped_cfg = dataclasses.replace(cfg, max_rounds=4)
+    capped = min_max_clean_set(Z, capped_cfg, first_sweep(Z, capped_cfg))
     assert [(rd, step, idx.size) for rd, step, idx in capped.removed] == [
         (1, "min", 2), (2, "min", 2), (3, "min", 2),
     ]
     with pytest.raises(DegenerateShrinkageError, match="working set of 4"):
-        min_max_clean_set(Z, cfg)
+        min_max_clean_set(Z, cfg, first_sweep(Z, cfg))
 
 
 def test_clean_set_reports_iteration_cap():
     spec = ScenarioSpec(kind=ScenarioKind.EXAMPLE1, mu=6.0, n=40, p=100, n_inf=5, seed=5)
     Z = standardize(gen_scenario(spec).data, EstimatorMode.ROBUST)
-    cs = min_max_clean_set(Z, MipConfig(m=30, c=0.99, max_rounds=2, seed=0))
+    cfg = MipConfig(m=30, c=0.99, max_rounds=2, seed=0)
+    cs = min_max_clean_set(Z, cfg, first_sweep(Z, cfg))
     assert cs.hit_iteration_cap
     assert cs.rounds_used == 2
     assert_partition(cs, 40)
@@ -179,7 +182,8 @@ def test_empty_min_step_falls_back_to_l0_removals():
     y = rng.standard_normal(30)
     y[0] += 50.0
     Z = standardize(Dataset(y=y, X=X), EstimatorMode.SAMPLE)
-    cs = min_max_clean_set(Z, MipConfig(m=20, c=1.0, l0=1, max_rounds=3, seed=2))
+    cfg = MipConfig(m=20, c=1.0, l0=1, max_rounds=3, seed=2)
+    cs = min_max_clean_set(Z, cfg, first_sweep(Z, cfg))
 
     assert cs.hit_iteration_cap
     assert cs.rounds_used == 3
@@ -200,19 +204,20 @@ def test_clean_set_partition_and_threshold():
     lab = small_contaminated()
     Z = standardize(lab.data, EstimatorMode.ROBUST)
     cfg = MipConfig(m=50, seed=0)
-    cs = min_max_clean_set(Z, cfg)
+    first = first_sweep(Z, cfg)
+    cs = min_max_clean_set(Z, cfg, first)
     assert_partition(cs, 60)
     assert not cs.hit_iteration_cap
     assert cs.clean.size >= cfg.c * 60 - 1e-9
-    assert cs.first_t_min.shape == (60,)
-    assert cs.first_t_max.shape == (60,)
+    assert [t.shape for t in first] == [(60,), (60,)]
 
 
 def test_clean_set_deterministic():
     lab = small_contaminated()
     Z = standardize(lab.data, EstimatorMode.ROBUST)
-    a = min_max_clean_set(Z, MipConfig(m=50, seed=0))
-    b = min_max_clean_set(Z, MipConfig(m=50, seed=0))
+    cfg = MipConfig(m=50, seed=0)
+    a = min_max_clean_set(Z, cfg, first_sweep(Z, cfg))
+    b = min_max_clean_set(Z, cfg, first_sweep(Z, cfg))
     assert np.array_equal(a.clean, b.clean)
     assert len(a.removed) == len(b.removed)
     for (rd1, st1, i1), (rd2, st2, i2) in zip(a.removed, b.removed):
@@ -308,7 +313,7 @@ def test_checking_against_whole_sample_recovers_leave_one_out():
     rng = np.random.default_rng(12)
     d = Dataset(y=rng.standard_normal(15), X=rng.standard_normal((15, 8)))
     Z = standardize(d, EstimatorMode.SAMPLE)
-    loo = him_scores(Z).statistics
+    loo = him_scores(Z)
 
     everywhere = checking_statistics_all(Z, np.arange(15))
     assert np.max(np.abs(everywhere - loo)) <= 1e-12
@@ -406,7 +411,7 @@ def test_max_detector_report_shape():
     lab = small_contaminated()
     Z = standardize(lab.data, EstimatorMode.ROBUST)
     cfg = MipConfig(m=50, seed=0)
-    report = max_detect(Z, cfg)
+    report = max_detect(Z, cfg, first_sweep(Z, cfg))
     assert report.method == "max"
     assert report.rounds_used == 1
     assert report.config == cfg.echo()
@@ -432,8 +437,9 @@ def test_max_detector_null_flag_rate(null_bundle):
 def test_max_flags_cover_min_flags_under_swamping(ex2_mu8_bundle):
     for seed, rep in enumerate(ex2_mu8_bundle[:2]):
         cfg = MipConfig(m=100, seed=seed)
-        fmax = set(max_detect(rep["Z"], cfg).flagged().tolist())
-        fmin = set(min_multiround_detect(rep["Z"], cfg).flagged().tolist())
+        first = first_sweep(rep["Z"], cfg)
+        fmax = set(max_detect(rep["Z"], cfg, first).flagged().tolist())
+        fmin = set(min_multiround_detect(rep["Z"], cfg, first).flagged().tolist())
         assert fmin <= fmax
         assert len(fmax) > len(fmin)
 
@@ -441,7 +447,8 @@ def test_max_flags_cover_min_flags_under_swamping(ex2_mu8_bundle):
 def test_min_multiround_report_and_cap():
     lab = small_contaminated()
     Z = standardize(lab.data, EstimatorMode.ROBUST)
-    report = min_multiround_detect(Z, MipConfig(m=50, seed=0, max_rounds=1))
+    cfg = MipConfig(m=50, seed=0, max_rounds=1)
+    report = min_multiround_detect(Z, cfg, first_sweep(Z, cfg))
     assert report.method == "min"
     assert report.hit_iteration_cap
     assert report.rounds_used == 1
@@ -451,8 +458,9 @@ def test_min_multiround_report_and_cap():
 def test_min_multiround_deterministic():
     lab = small_contaminated()
     Z = standardize(lab.data, EstimatorMode.ROBUST)
-    a = min_multiround_detect(Z, MipConfig(m=50, seed=0))
-    b = min_multiround_detect(Z, MipConfig(m=50, seed=0))
+    cfg = MipConfig(m=50, seed=0)
+    a = min_multiround_detect(Z, cfg, first_sweep(Z, cfg))
+    b = min_multiround_detect(Z, cfg, first_sweep(Z, cfg))
     assert np.array_equal(a.flagged(), b.flagged())
     assert a.rounds_used == b.rounds_used
 
@@ -487,8 +495,8 @@ FLOAT_FIELDS = ("p_value", "statistic", "t_min", "t_max", "checking_stat")
 PRODUCERS = {
     "checking": (lambda d, Z, cfg: checking_step(Z, np.arange(6, 60)), {"t_min", "t_max"}),
     "mip": (lambda d, Z, cfg: mip_detect(d, cfg), set()),
-    "max": (lambda d, Z, cfg: max_detect(Z, cfg), {"checking_stat"}),
-    "min": (lambda d, Z, cfg: min_multiround_detect(Z, cfg), {"checking_stat"}),
+    "max": (lambda d, Z, cfg: max_detect(Z, cfg, first_sweep(Z, cfg)), {"checking_stat"}),
+    "min": (lambda d, Z, cfg: min_multiround_detect(Z, cfg, first_sweep(Z, cfg)), {"checking_stat"}),
     "him": (lambda d, Z, cfg: him_detect(Z, cfg.alpha0), {"t_min", "t_max", "checking_stat"}),
 }
 

@@ -493,18 +493,43 @@ def test_run_experiment_validates_inputs():
         run_experiment([spec], ["MIP"], 0)
 
 
-def test_run_experiment_counts_out_failing_reps(monkeypatch):
+@pytest.mark.parametrize(
+    "broken, methods, failing",
+    [
+        ("him_detect", ["MIP", "HIM"], ["HIM"]),
+        # every method that reads the rep's Z is counted out; MIP and Full still run
+        ("standardize", ["MIP", "HIM", "MaxOnly", "MinMultiRound", "Full"],
+         ["HIM", "MaxOnly", "MinMultiRound"]),
+    ],
+    ids=["him_detect", "standardize"],
+)
+def test_run_experiment_counts_out_failing_reps(monkeypatch, caplog, broken, methods, failing):
     def explode(*args, **kwargs):
         raise RuntimeError("forced failure")
 
-    monkeypatch.setattr(simbench, "him_detect", explode)
+    monkeypatch.setattr(simbench, broken, explode)
     spec = ScenarioSpec(kind=ScenarioKind.EXAMPLE1, mu=6.0, n=60, p=150, n_inf=6, seed=7)
-    rows = run_experiment([spec], ["MIP", "HIM"], 2, MipConfig(m=30, seed=0))
+    with caplog.at_level("WARNING", logger="mipdetect.simbench"):
+        rows = run_experiment([spec], methods, 2, MipConfig(m=30, seed=0))
     by_method = {r.method: r for r in rows}
-    assert by_method["HIM"].reps == 0
-    assert math.isnan(by_method["HIM"].tpr_inf)
-    assert by_method["MIP"].reps == 2
+    assert {name: r.reps for name, r in by_method.items()} == {
+        name: 0 if name in failing else 2 for name in methods
+    }
+    assert all(math.isnan(by_method[name].tpr_inf) for name in failing)
     assert not math.isnan(by_method["MIP"].tpr_inf)
+    logged = [r.getMessage().split(":")[0] for r in caplog.records]
+    assert logged == [
+        f"rep {rep} of example1 failed for {name}" for rep in (0, 1) for name in failing
+    ]
+
+
+def test_run_experiment_sweeps_the_first_working_set_once_per_rep(sweep_calls):
+    spec = ScenarioSpec(kind=ScenarioKind.EXAMPLE1, mu=6.0, n=60, p=150, n_inf=6, seed=7)
+    run_experiment([spec], ["MaxOnly", "MinMultiRound"], 2, MipConfig(m=30, seed=0))
+    full = np.arange(60, dtype=np.int64).tobytes()
+    first = [count for (_, round_id, active), count in sweep_calls.items()
+             if round_id == 0 and active == full]
+    assert first == [1, 1]  # one per rep, each on its own detector seed
 
 
 def test_null_runs_score_flag_rate_as_fpr():
