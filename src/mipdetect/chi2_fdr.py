@@ -17,8 +17,8 @@ class BhResult:
     """Outcome of the step-up procedure.
 
     ``rejected`` holds the positions (into the input vector) of all
-    p-values at or below ``threshold``; ``threshold`` is None when
-    nothing was rejected.
+    p-values at or below ``threshold``, in ascending order; ``threshold``
+    is None when nothing was rejected.
     """
 
     rejected: np.ndarray

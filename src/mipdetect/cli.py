@@ -38,7 +38,7 @@ from .mip import (
     mip_detect,
 )
 from .robust_stats import Dataset, DegenerateColumnError, EstimatorMode, standardize
-from .simbench import MetricRow, ScenarioKind, ScenarioSpec, run_experiment
+from .simbench import METHODS, MetricRow, ScenarioKind, ScenarioSpec, run_experiment
 
 SCHEMA_VERSION = 2
 
@@ -263,12 +263,12 @@ def _csv_text(header: tuple, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _manifest(cfg_echo: dict, digest: str, seed: int) -> dict:
+def _manifest(cfg_echo: dict, digest: str) -> dict:
     return {
         "tool": "mipdetect",
         "version": __version__,
         "input_sha256": digest,
-        "seed": seed,
+        "seed": cfg_echo.get("seed"),  # None for HIM, which draws nothing
         "config": cfg_echo,
     }
 
@@ -287,7 +287,7 @@ def _report_json(report: DetectionReport, digest: str) -> str:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "method": report.method,
-        "manifest": _manifest(report.config, digest, report.config.get("seed", 0)),
+        "manifest": _manifest(report.config, digest),
         "n": report.n,
         "clean_set": None
         if report.clean_set is None
@@ -358,13 +358,13 @@ def _add_csv_opts(sp: argparse.ArgumentParser) -> None:
 def _add_report_opts(sp: argparse.ArgumentParser) -> None:
     """The options a detection report carries, HIM's included."""
     sp.add_argument("--alpha0", type=float, default=0.05, help="FDR level of the checking step")
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--estimator", choices=("robust", "sample"), default="robust")
 
 
 def _add_mip_opts(sp: argparse.ArgumentParser) -> None:
     """One option per MipConfig field, each dest named after its field."""
     _add_report_opts(sp)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--m", type=int, default=100, help="subsets per target (default 100)")
     sp.add_argument(
         "--ksub", dest="k_sub", type=float, default=0.5, help="subset fraction (default 0.5)"
@@ -405,13 +405,11 @@ def _column_error(e: DegenerateColumnError, rcol: int) -> CliError:
 def cmd_detect(args) -> int:
     cfg = _config(args)
     d, digest, rcol = load_dataset(args.input, args.delimiter, args.header, args.response_col)
-    t0 = time.perf_counter()
     try:
         report = mip_detect(d, cfg)
     except DegenerateColumnError as e:
         raise _column_error(e, rcol) from e
     write_detect_outputs(report, digest, args.report, args.flags)
-    print(f"detect: {time.perf_counter() - t0:.2f}s wall", file=sys.stderr)
     return 0
 
 
@@ -425,21 +423,14 @@ def _load_standardized(args):
 
 
 def cmd_him(args) -> int:
-    if not 0 <= args.seed < 2**64:  # HIM draws nothing, but its manifest names a usable seed
-        raise ValueError("seed must be an integer in [0, 2**64)")
     if not 0.0 < args.alpha0 < 1.0:
         raise ValueError("alpha0 must be in (0, 1)")
-    t0 = time.perf_counter()
     Z, digest = _load_standardized(args)
-    report = him_detect(Z, args.alpha0)
-    report.config = dict(report.config, seed=args.seed)
-    write_him_outputs(report, digest, args.report, args.flags)
-    print(f"him: {time.perf_counter() - t0:.2f}s wall", file=sys.stderr)
+    write_him_outputs(him_detect(Z, args.alpha0), digest, args.report, args.flags)
     return 0
 
 
 def cmd_plot_data(args) -> int:
-    t0 = time.perf_counter()
     cfg = _config(args)
     Z, _ = _load_standardized(args)
     first = first_sweep(Z, cfg)
@@ -472,7 +463,6 @@ def cmd_plot_data(args) -> int:
             zip(range(1, Z.n + 1), *(c.tolist() for c in columns)),
         ),
     )
-    print(f"plot-data: {time.perf_counter() - t0:.2f}s wall", file=sys.stderr)
     return 0
 
 
@@ -494,11 +484,8 @@ def cmd_simulate(args) -> int:
         ScenarioSpec(kind=kind, mu=mu, n=args.n, p=args.p, n_inf=args.n_inf, seed=args.seed)
         for mu in grid
     ]
-
-    t0 = time.perf_counter()
     rows = run_experiment(specs, methods, args.reps, cfg, with_fit=args.with_fit)
     _write_text(args.out, results_to_csv(rows))
-    print(f"simulate: {time.perf_counter() - t0:.2f}s wall", file=sys.stderr)
     return 0
 
 
@@ -537,7 +524,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--example", choices=("1", "2", "null"), required=True)
     sp.add_argument("--mu-grid", nargs="+", default=["0"], help="signal strengths")
     sp.add_argument("--reps", type=int, default=20)
-    sp.add_argument("--methods", default="MIP,HIM")
+    sp.add_argument(
+        "--methods", default="MIP,HIM", help=f"comma-separated, from {','.join(METHODS)}"
+    )
     sp.add_argument("--n", type=int, default=100)
     sp.add_argument("--p", type=int, default=1000)
     sp.add_argument("--n-inf", type=int, default=10)
@@ -554,8 +543,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        code = args.func(args)
     except CliError as e:
         print(f"error: {e.message}", file=sys.stderr)
         return e.code
@@ -571,6 +561,8 @@ def main(argv=None) -> int:
     except Exception as e:  # keep the exit status meaningful for scripts
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
+    print(f"{args.command}: {time.perf_counter() - t0:.2f}s wall", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -193,7 +193,7 @@ def min_max_clean_set(Z: InfluenceMatrix, cfg: MipConfig, first: tuple) -> Clean
             t_min, t_max = _sweep(Z, S, cfg, sweep_no, round_no)
             sweep_no += 1
         p_min = chi2_1_sf_vec(t_min)
-        hits = np.sort(bh_select(p_min, cfg.alpha).rejected)
+        hits = bh_select(p_min, cfg.alpha).rejected
         min_step_empty = hits.size == 0
 
         if hits.size:
@@ -205,7 +205,7 @@ def min_max_clean_set(Z: InfluenceMatrix, cfg: MipConfig, first: tuple) -> Clean
             # working set unchanged: the same draws carry the Max-Step
             t_max2 = t_max
 
-        max_hits = np.sort(bh_select(chi2_1_sf_vec(t_max2), cfg.alpha).rejected)
+        max_hits = bh_select(chi2_1_sf_vec(t_max2), cfg.alpha).rejected
         candidate = np.delete(S, max_hits)
         stop = candidate.size >= stop_at
         if stop or round_no == cfg.max_rounds:
@@ -336,7 +336,7 @@ def min_multiround_detect(Z: InfluenceMatrix, cfg: MipConfig, first: tuple) -> D
     for round_no in range(1, cfg.max_rounds + 1):
         if round_no > 1:
             pvals = chi2_1_sf_vec(_sweep(Z, U, cfg, round_no - 1, round_no)[0])
-        hits = np.sort(bh_select(pvals, cfg.alpha0).rejected)
+        hits = bh_select(pvals, cfg.alpha0).rejected
         if hits.size == 0:
             break
         flagged.extend(U[hits].tolist())

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -29,8 +29,6 @@ log = logging.getLogger(__name__)
 AR_COEFF = 0.4
 # variance 0.5 for the contamination noise
 INF_NOISE_SD = math.sqrt(0.5)
-
-KNOWN_METHODS = ("MIP", "HIM", "MaxOnly", "MinMultiRound", "Full")
 
 
 class ScenarioKind(Enum):
@@ -110,19 +108,23 @@ def gen_base(n: int, p: int, beta: np.ndarray, seed) -> Dataset:
     if beta.shape != (p,):
         raise ValueError("beta must have length p")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    noise = rng.standard_normal((n, p))
-    X = np.empty((n, p))
-    X[:, 0] = noise[:, 0]
+    X = rng.standard_normal((n, p))  # column j holds its noise until step j
     carry = math.sqrt(1.0 - AR_COEFF**2)
     for j in range(1, p):
-        X[:, j] = AR_COEFF * X[:, j - 1] + carry * noise[:, j]
+        X[:, j] = AR_COEFF * X[:, j - 1] + carry * X[:, j]
     y = X @ beta + rng.standard_normal(n)
     return Dataset(y=y, X=X)
 
 
-def _streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
-    base_ss, inf_ss = np.random.SeedSequence(seed).spawn(2)
-    return np.random.default_rng(base_ss), np.random.default_rng(inf_ss)
+def _base_draw(spec: ScenarioSpec, head) -> tuple[np.ndarray, Dataset, np.random.Generator]:
+    """(beta, clean base draw, contamination stream) of a scenario.
+
+    The scenario seed splits into two streams: the first draws the base
+    design and response, the second whatever rows the scenario plants.
+    """
+    beta = _beta_from_head(head, spec.p)
+    base_ss, inf_ss = np.random.SeedSequence(spec.seed).spawn(2)
+    return beta, gen_base(spec.n, spec.p, beta, base_ss), np.random.default_rng(inf_ss)
 
 
 def gen_example1(spec: ScenarioSpec) -> LabeledDataset:
@@ -137,9 +139,8 @@ def gen_example1(spec: ScenarioSpec) -> LabeledDataset:
     """
     if spec.p < 10:
         raise ValueError("need p >= 10 for the coordinate bumps")
-    beta = _beta_from_head(_BETA_HEAD_MASKING, spec.p)
-    rng_base, rng_inf = _streams(spec.seed)
-    base = gen_base(spec.n, spec.p, beta, rng_base)
+    beta, base, rng_inf = _base_draw(spec, _BETA_HEAD_MASKING)
+    # copies: the anchor row i0 may be one of the rows overwritten below
     X = base.X.copy()
     y = base.y.copy()
     i0 = int(np.argmax(np.abs(base.y)))
@@ -171,25 +172,20 @@ def gen_example2(spec: ScenarioSpec) -> LabeledDataset:
     """
     if spec.p < 20:
         raise ValueError("need p >= 20 for the coefficient perturbation")
-    beta = _beta_from_head(_BETA_HEAD_SWAMPING, spec.p)
+    beta, base, rng_inf = _base_draw(spec, _BETA_HEAD_SWAMPING)
     beta_tilted = beta.copy()
     beta_tilted[-20:] += np.arange(1, 21) * 0.005 * spec.mu
     shift_width = max(1, int(round(0.1 * spec.p)))
     nu = np.zeros(spec.p)
     nu[spec.p - shift_width:] = 0.5 * spec.mu
-
-    rng_base, rng_inf = _streams(spec.seed)
-    base = gen_base(spec.n, spec.p, beta, rng_base)
-    X = base.X.copy()
-    y = base.y.copy()
     sign = 1.0 if rng_inf.random() < 0.5 else -1.0
     for row in range(spec.n_inf):
         xi = nu + rng_inf.standard_normal(spec.p)
         eps = INF_NOISE_SD * rng_inf.standard_normal()
-        X[row] = xi
-        y[row] = sign * (beta_tilted @ xi + eps)
+        base.X[row] = xi
+        base.y[row] = sign * (beta_tilted @ xi + eps)
     return LabeledDataset(
-        data=Dataset(y=y, X=X),
+        data=base,
         truth=np.arange(spec.n_inf, dtype=np.int64),
         beta_true=beta,
     )
@@ -201,9 +197,7 @@ def gen_scenario(spec: ScenarioSpec) -> LabeledDataset:
         return gen_example1(spec)
     if spec.kind is ScenarioKind.EXAMPLE2:
         return gen_example2(spec)
-    beta = _beta_from_head(_BETA_HEAD_MASKING, spec.p)
-    rng_base, _ = _streams(spec.seed)
-    base = gen_base(spec.n, spec.p, beta, rng_base)
+    beta, base, _ = _base_draw(spec, _BETA_HEAD_MASKING)
     return LabeledDataset(
         data=base, truth=np.empty(0, dtype=np.int64), beta_true=beta
     )
@@ -367,10 +361,17 @@ def _rep_seeds(spec_seed: int, rep: int) -> tuple[int, int]:
     return int(state[0]), int(state[1])
 
 
-def _clean_rows(n: int, flags: np.ndarray) -> np.ndarray:
-    keep = np.ones(n, dtype=bool)
-    keep[flags] = False
-    return np.flatnonzero(keep)
+# name -> that method's flags on one rep, from (data, rep config, Z, first);
+# Z() and first() build the rep's standardized data and first sweep on first
+# use. Each entry looks its detector up when called, so a detector replaced
+# on this module is the one that runs.
+METHODS = {
+    "MIP": lambda d, cfg, Z, first: mip_detect(d, cfg).flagged(),
+    "HIM": lambda d, cfg, Z, first: him_detect(Z(), cfg.alpha0).flagged(),
+    "MaxOnly": lambda d, cfg, Z, first: max_detect(Z(), cfg, first()).flagged(),
+    "MinMultiRound": lambda d, cfg, Z, first: min_multiround_detect(Z(), cfg, first()).flagged(),
+    "Full": lambda d, cfg, Z, first: np.empty(0, dtype=np.int64),
+}
 
 
 def run_experiment(
@@ -394,16 +395,15 @@ def run_experiment(
     if not methods:
         raise ValueError("need at least one method")
     for name in methods:
-        if name not in KNOWN_METHODS:
-            raise ValueError(f"unknown method {name!r}; choose from {', '.join(KNOWN_METHODS)}")
+        if name not in METHODS:
+            raise ValueError(f"unknown method {name!r}; choose from {', '.join(METHODS)}")
         if methods.count(name) > 1:
             raise ValueError(f"method {name!r} is listed more than once")
     with_fit = with_fit or "Full" in methods
 
-    specs = list(specs)
-    acc = {(spec_idx, name): [] for spec_idx in range(len(specs)) for name in methods}
-
-    for spec_idx, spec in enumerate(specs):
+    out: list[MetricRow] = []
+    for spec in specs:
+        rows: dict[str, list[dict]] = {name: [] for name in methods}
         for rep in range(reps):
             data_seed, det_seed = _rep_seeds(spec.seed, rep)
             labeled = gen_scenario(replace(spec, seed=data_seed))
@@ -413,45 +413,27 @@ def run_experiment(
             first = functools.cache(lambda: first_sweep(Z(), rep_cfg))
             for name in methods:
                 try:
-                    row = _run_one(labeled, name, rep_cfg, with_fit, Z, first)
+                    flags = METHODS[name](labeled.data, rep_cfg, Z, first)
+                    rows[name].append(_score(labeled, name, flags, with_fit))
                 except Exception as e:
                     log.warning("rep %d of %s failed for %s: %s", rep, spec.kind.value, name, e)
-                    continue
-                acc[(spec_idx, name)].append(row)
-
-    out: list[MetricRow] = []
-    for spec_idx, spec in enumerate(specs):
-        for name in methods:
-            rows = acc[(spec_idx, name)]
-            out.append(_aggregate(rows, name, spec))
+        out.extend(_aggregate(rows[name], name, spec) for name in methods)
     return out
 
 
-def _run_one(labeled: LabeledDataset, name: str, cfg: MipConfig, with_fit: bool, Z, first):
-    """One method's metrics on one rep; ``Z()`` and ``first()`` give the rep's shared inputs."""
+def _score(labeled: LabeledDataset, name: str, flags: np.ndarray, with_fit: bool) -> dict:
+    """One method's metrics on one rep, keyed by MetricRow field."""
     d = labeled.data
     n = d.n
     if name == "Full":
-        flags = np.empty(0, dtype=np.int64)
-    elif name == "MIP":
-        flags = mip_detect(d, cfg).flagged()
-    elif name == "HIM":
-        flags = him_detect(Z(), cfg.alpha0).flagged()
-    elif name == "MaxOnly":
-        flags = max_detect(Z(), cfg, first()).flagged()
-    else:
-        flags = min_multiround_detect(Z(), cfg, first()).flagged()
-
-    row: dict = {}
-    if name == "Full":
-        row.update(tpr=math.nan, fpr=math.nan, f1=math.nan)
+        row = dict(tpr_inf=math.nan, fpr_inf=math.nan, f1=math.nan)
     elif labeled.truth.size:
         tpr, fpr, _, f1 = detection_metrics(flags, labeled.truth, n)
-        row.update(tpr=tpr, fpr=fpr, f1=f1)
+        row = dict(tpr_inf=tpr, fpr_inf=fpr, f1=f1)
     else:
-        row.update(tpr=math.nan, fpr=flags.size / n, f1=math.nan)
+        row = dict(tpr_inf=math.nan, fpr_inf=flags.size / n, f1=math.nan)
 
-    kept = _clean_rows(n, flags) if with_fit else None
+    kept = np.delete(np.arange(n), flags)
     if with_fit and kept.size >= 4:
         sub = Dataset(y=d.y[kept], X=d.X[kept])
         err, tpr_vs, fpr_vs = fit_metrics(lasso_fit(sub), labeled.beta_true)
@@ -470,15 +452,5 @@ def _aggregate(rows: list[dict], name: str, spec: ScenarioSpec) -> MetricRow:
             return math.nan
         return float(np.nanmean(vals))
 
-    return MetricRow(
-        method=name,
-        mu=spec.mu,
-        tpr_inf=mean("tpr"),
-        fpr_inf=mean("fpr"),
-        f1=mean("f1"),
-        err=mean("err"),
-        tpr_vs=mean("tpr_vs"),
-        fpr_vs=mean("fpr_vs"),
-        reps=len(rows),
-    )
-
+    fixed = dict(method=name, mu=spec.mu, reps=len(rows))
+    return MetricRow(**fixed, **{f.name: mean(f.name) for f in fields(MetricRow) if f.name not in fixed})

@@ -143,6 +143,15 @@ def test_bh_ties_share_the_rank_decision():
     assert sorted(res.rejected.tolist()) == [0, 1]
 
 
+def test_bh_rejects_in_ascending_position_order():
+    # the detectors delete rejected positions straight from their working set
+    rng = np.random.default_rng(45)
+    p = rng.permutation(np.repeat([0.0005, 0.001, 0.004, 0.3, 0.8], 4))
+    res = bh_select(p, 0.1)
+    assert res.rejected.tolist() == np.flatnonzero(p <= 0.004).tolist()
+    assert np.all(np.diff(res.rejected) > 0)
+
+
 def test_bh_matches_brute_force_on_random_vectors():
     rng = np.random.default_rng(42)
     for trial in range(500):

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -18,6 +19,7 @@ import pytest
 
 from mipdetect import __version__
 from mipdetect.chi2_fdr import chi2_1_sf_vec, log10_pvalues
+from mipdetect import cli
 from mipdetect.cli import _add_mip_opts, _cell, build_parser, load_dataset, main
 from mipdetect.him import him_detect
 from mipdetect.mip import (
@@ -29,7 +31,7 @@ from mipdetect.mip import (
     mip_detect,
 )
 from mipdetect.robust_stats import Dataset, EstimatorMode, standardize
-from mipdetect.simbench import ScenarioKind, ScenarioSpec, gen_scenario
+from mipdetect.simbench import METHODS, ScenarioKind, ScenarioSpec, gen_scenario
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -267,7 +269,7 @@ def test_him_matches_library_bit_for_bit(tmp_path, small_csv):
     report_path = tmp_path / "report.json"
     flags_path = tmp_path / "flags.csv"
     code, _ = run_cli(
-        ["him", csv, "--seed", 9, "--report", report_path, "--flags", flags_path]
+        ["him", csv, "--report", report_path, "--flags", flags_path]
     )
     assert code == 0
 
@@ -281,7 +283,8 @@ def test_him_matches_library_bit_for_bit(tmp_path, small_csv):
 
     payload = json.loads(report_path.read_text())
     assert payload["method"] == "him"
-    assert payload["manifest"]["seed"] == 9
+    assert payload["manifest"]["seed"] is None  # HIM draws nothing
+    assert "seed" not in payload["manifest"]["config"]
 
 
 def test_him_takes_only_the_options_it_reads(tmp_path, small_csv):
@@ -289,12 +292,12 @@ def test_him_takes_only_the_options_it_reads(tmp_path, small_csv):
     dests = {a.dest for a in sub.choices["him"]._actions if a.dest != "help"}
     assert dests == {
         "input", "delimiter", "header", "response_col",
-        "alpha0", "estimator", "seed", "report", "flags",
+        "alpha0", "estimator", "report", "flags",
     }
 
     csv, _ = small_csv
     outs = lambda tag: ["--report", tmp_path / f"{tag}.json", "--flags", tmp_path / f"{tag}.csv"]
-    for option in ("--m", "--alpha"):  # --alpha is not taken as short for --alpha0
+    for option in ("--m", "--seed", "--alpha"):  # --alpha is not taken as short for --alpha0
         with pytest.raises(SystemExit) as exc:
             run_cli(["him", csv, option, 0.5, *outs("m")])
         assert exc.value.code == 2
@@ -445,6 +448,35 @@ def test_simulate_names_each_failed_rep_in_one_line(tmp_path):
     assert [(r[0], r[-1]) for r in rows] == [("MIP", "0"), ("MaxOnly", "2")]
 
 
+def test_simulate_help_names_every_method(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for name in METHODS:
+        assert name in text
+
+
+def test_wall_line_covers_the_whole_command(tmp_path, small_csv, monkeypatch):
+    parse = cli.load_dataset
+
+    def slow_parse(*args, **kwargs):
+        time.sleep(0.25)
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_dataset", slow_parse)
+    csv, _ = small_csv
+    outs = ["--report", tmp_path / "r.json", "--flags", tmp_path / "f.csv"]
+    code, err = run_cli(["detect", csv, "--m", 20, *outs])
+    assert code == 0, err
+    (wall,) = re.findall(r"^detect: (\d+\.\d\d)s wall$", err, re.M)
+    assert float(wall) >= 0.25
+
+    code, err = run_cli(["detect", tmp_path / "missing.csv", *outs])
+    assert code == 2
+    assert not re.search(r"\d+\.\d\ds wall$", err, re.M)
+
+
 def test_simulate_swamping_benchmark(swamping_csv_rows):
     mip = swamping_csv_rows["MIP"]
     him = swamping_csv_rows["HIM"]
@@ -516,7 +548,6 @@ def test_unusable_inputs_exit_2(tmp_path):
         (["detect", ok, "--delimiter", "", *outs], "--delimiter must be a non-empty string"),
         (["detect", ok, "--alpha", 1.5, *outs], "alpha and alpha0"),
         (["detect", ok, "--seed", 2**64, *outs], "seed must be an integer in [0, 2**64)"),
-        (["him", ok, "--seed", -1, *outs], "seed must be an integer in [0, 2**64)"),
         (["him", ok, "--alpha0", 1.0, *outs], "alpha0 must be in (0, 1)"),
         (["simulate", "--example", "1", "--methods", "MIP,Bogus",
           "--out", tmp_path / "s.csv"], "unknown method 'Bogus'"),

@@ -23,7 +23,6 @@ from mipdetect.simbench import (
     _BETA_HEAD_SWAMPING,
     _certified_path,
     _lasso_path,
-    _streams,
     default_lambda_grid,
     detection_metrics,
     fit_metrics,
@@ -40,9 +39,9 @@ import mipdetect.simbench as simbench
 
 
 def regen_base(spec: ScenarioSpec, head) -> Dataset:
-    """The base draw a scenario was built on, from its seed stream."""
-    rng_base, _ = _streams(spec.seed)
-    return gen_base(spec.n, spec.p, _beta_from_head(head, spec.p), rng_base)
+    """The base draw a scenario was built on: the first of two streams spawned from its seed."""
+    base_ss, _ = np.random.SeedSequence(spec.seed).spawn(2)
+    return gen_base(spec.n, spec.p, _beta_from_head(head, spec.p), np.random.default_rng(base_ss))
 
 
 # ---------------------------------------------------------------------------
@@ -497,11 +496,15 @@ def test_run_experiment_validates_inputs():
     "broken, methods, failing",
     [
         ("him_detect", ["MIP", "HIM"], ["HIM"]),
+        # the method table looks each detector up when a rep runs
+        ("mip_detect", ["MIP", "HIM"], ["MIP"]),
+        ("max_detect", ["MIP", "MaxOnly", "MinMultiRound"], ["MaxOnly"]),
+        ("min_multiround_detect", ["MIP", "MaxOnly", "MinMultiRound"], ["MinMultiRound"]),
         # every method that reads the rep's Z is counted out; MIP and Full still run
         ("standardize", ["MIP", "HIM", "MaxOnly", "MinMultiRound", "Full"],
          ["HIM", "MaxOnly", "MinMultiRound"]),
     ],
-    ids=["him_detect", "standardize"],
+    ids=["him_detect", "mip_detect", "max_detect", "min_multiround_detect", "standardize"],
 )
 def test_run_experiment_counts_out_failing_reps(monkeypatch, caplog, broken, methods, failing):
     def explode(*args, **kwargs):
@@ -516,7 +519,10 @@ def test_run_experiment_counts_out_failing_reps(monkeypatch, caplog, broken, met
         name: 0 if name in failing else 2 for name in methods
     }
     assert all(math.isnan(by_method[name].tpr_inf) for name in failing)
-    assert not math.isnan(by_method["MIP"].tpr_inf)
+    assert all(
+        not math.isnan(by_method[name].tpr_inf)
+        for name in methods if name not in failing and name != "Full"
+    )
     logged = [r.getMessage().split(":")[0] for r in caplog.records]
     assert logged == [
         f"rep {rep} of example1 failed for {name}" for rep in (0, 1) for name in failing
