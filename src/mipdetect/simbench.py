@@ -258,51 +258,64 @@ def _lasso_path(X, y, lambdas):
     The minimizer of 0.5 n^{-1} ||y - X beta||^2 + lam ||beta||_1 is
     piecewise linear in lam (Osborne, Presnell and Turlach 2000; Efron et
     al. 2004). On an active set A with signs s it is beta_A = u - lam d,
-    where (X_A^T X_A) [u, d] = [X_A^T y, n s], and the correlations
-    X^T r / n = e + lam a come from the residuals of u and d. Walking down
-    from lam = inf, each piece ends where an inactive correlation reaches
-    +-lam (it joins) or an active coefficient reaches zero (it drops).
-    Only moves toward an event count (a gap closing by under 1e-9 per
-    unit of lam marks a column collinear with A), and an event overshot
-    by roundoff fires at once. Once |A| reaches rank(X), inactive
-    correlations stay a fixed fraction of lam, so joins wait for a drop.
+    where [u, d] = H [X_A^T y, n s], refined once, for H = (X_A^T X_A)^{-1};
+    the correlations X^T r / n = e + lam a come from the residuals of u, d.
+    Walking down from lam = inf, each piece ends where an inactive
+    correlation reaches +-lam (it joins; H grows by a Schur complement block)
+    or an active coefficient reaches zero (it drops; H takes a rank-one
+    downdate). Only moves toward an event count (a gap closing by under 1e-9
+    per unit of lam marks a column collinear with A), and an event overshot
+    by roundoff fires at once. A column with pivot (squared distance from
+    span(X_A)) <= 1e-9 ||x_j||^2 does not join: joins wait for a drop, as
+    they must once |A| reaches rank(X).
     """
     n, p = X.shape
     out = np.zeros((len(lambdas), p))
-    active: list[int] = []
-    s = u = d = np.zeros(0)
-    rank = np.linalg.matrix_rank(X)
+    cap = min(n, p)  # rank(X) bounds |A|
+    H = np.empty((cap, cap))  # (X_A^T X_A)^{-1} in its leading m x m block
+    rhs = np.empty((cap, 2))  # [X_A^T y, n s]: the signs s, scaled by n > 0
+    XA = np.empty((cap, n))  # the active columns, one per row
+    active = np.empty(cap, dtype=np.intp)
+    Xty, sq = y @ X, np.einsum("ij,ij->j", X, X)
+    m, full = 0, False  # |A|, and whether joins wait for a drop
     g = 0  # next grid penalty to read off
     for _ in range(8 * (n + p)):  # a healthy path takes about min(n, p) steps
-        XA = X[:, active]
-        if active:
-            try:
-                u, d = np.linalg.solve(XA.T @ XA, np.column_stack((XA.T @ y, n * s))).T
-            except np.linalg.LinAlgError as exc:
-                raise ConvergenceError("singular active set on the lasso path") from exc
-        e, a = np.vstack((y - XA @ u, XA @ d)) @ X / n
+        ud = H[:m, :m] @ rhs[:m]
+        u, d = (ud + H[:m, :m] @ (rhs[:m] - XA[:m] @ (ud.T @ XA[:m]).T)).T  # refined once
+        e, a = np.vstack((y - u @ XA[:m], d @ XA[:m])) @ X / n
         den = 1.0 - _SIGMA * a
         with np.errstate(divide="ignore", invalid="ignore"):
-            drop = np.where(s * d < 0, u / d, -math.inf)
+            drop = np.where(rhs[:m, 1] * d < 0, u / d, -math.inf)
             join = np.where(den > 1e-9, _SIGMA * e / den, -math.inf)
-        join[:, active if len(active) < rank else slice(None)] = -math.inf
+        join[:, slice(None) if full else active[:m]] = -math.inf
         cand = np.concatenate((drop, join.ravel()))
         k = int(np.argmax(cand))
         nxt = max(float(cand[k]), 0.0)
         while g < len(lambdas) and lambdas[g] >= nxt:
             beta = u - lambdas[g] * d
             # a coefficient is zero or carries its sign; the rest is roundoff
-            out[g, active] = np.where(beta * s > 0, beta, 0.0)
+            out[g, active[:m]] = np.where(beta * rhs[:m, 1] > 0, beta, 0.0)
             g += 1
         if g == len(lambdas):
             return out
-        if k < len(active):
-            del active[k]
-            s = np.delete(s, k)
-        else:
-            row, j = divmod(k - len(active), p)
-            active.append(j)
-            s = np.append(s, _SIGMA[row])
+        if k < m:  # drop slot k: swap it with the last slot, then downdate that away
+            m -= 1
+            for buf in (active, rhs, XA, H, H.T):
+                buf[[k, m]] = buf[[m, k]]
+            H[:m, :m] -= np.outer(H[:m, m], H[m, :m] / H[m, m])
+            full = False
+        else:  # x_j joins with sign _SIGMA[row], unless it lies in span(X_A)
+            row, j = divmod(k - m, p)
+            c = XA[:m] @ X[:, j]
+            v = H[:m, :m] @ c
+            pivot = sq[j] - c @ v
+            full = m == cap or pivot <= 1e-9 * sq[j]
+            if not full:
+                H[:m, :m] += np.outer(v, v / pivot)
+                H[m, :m] = H[:m, m] = -v / pivot
+                H[m, m] = 1.0 / pivot
+                active[m], rhs[m], XA[m] = j, (Xty[j], n * _SIGMA[row, 0]), X[:, j]
+                m += 1
     raise ConvergenceError("lasso path did not reach the end of the grid")
 
 
@@ -334,11 +347,13 @@ def lasso_fit(d: Dataset) -> np.ndarray:
     Minimizes 0.5 n^{-1} ||y - X beta||^2 + lambda ||beta||_1 exactly by
     following its piecewise-linear path down from lambda_max (the
     homotopy of _lasso_path), over default_lambda_grid. Folds are the
-    deterministic interleaving i mod _FOLDS. Every path point used must
-    pass the KKT conditions to 1e-7, or ConvergenceError is raised.
-    OpenBLAS runs on one thread.
+    deterministic interleaving i mod _FOLDS, so fewer rows than folds
+    raise ValueError. Every path point used must pass the KKT conditions
+    to 1e-7, or ConvergenceError is raised. OpenBLAS runs on one thread.
     """
     X, y = d.X, d.y
+    if X.shape[0] < _FOLDS:
+        raise ValueError(f"lasso_fit needs at least {_FOLDS} rows, one per fold")
     grid = default_lambda_grid(X, y)
     cv_mse = np.zeros(grid.size)
     fold_id = np.arange(X.shape[0]) % _FOLDS
@@ -385,9 +400,9 @@ def run_experiment(
 
     Each rep derives its own data and detector seeds from the scenario
     seed, so re-running reproduces every row. Lasso-based fit metrics are
-    computed when "Full" is among the methods (or with_fit=True); the
-    detection methods then refit on the rows they kept. Reps that raise
-    are counted out and logged, never silently averaged.
+    computed when "Full" is among the methods (or with_fit=True), from one
+    refit per distinct set of kept rows in a rep. Reps that raise are
+    counted out and logged, never silently averaged.
     """
     if reps < 1:
         raise ValueError("need at least one rep")
@@ -411,18 +426,19 @@ def run_experiment(
             # built on first use and shared by the methods that read them
             Z = functools.cache(functools.partial(standardize, labeled.data, rep_cfg.estimator))
             first = functools.cache(lambda: first_sweep(Z(), rep_cfg))
+            fits: dict[bytes, np.ndarray] = {}  # lasso_fit's beta by kept rows
             for name in methods:
                 try:
                     flags = METHODS[name](labeled.data, rep_cfg, Z, first)
-                    rows[name].append(_score(labeled, name, flags, with_fit))
+                    rows[name].append(_score(labeled, name, flags, fits if with_fit else None))
                 except Exception as e:
                     log.warning("rep %d of %s failed for %s: %s", rep, spec.kind.value, name, e)
         out.extend(_aggregate(rows[name], name, spec) for name in methods)
     return out
 
 
-def _score(labeled: LabeledDataset, name: str, flags: np.ndarray, with_fit: bool) -> dict:
-    """One method's metrics on one rep, keyed by MetricRow field."""
+def _score(labeled: LabeledDataset, name: str, flags: np.ndarray, fits: dict | None) -> dict:
+    """One method's metrics on one rep, keyed by MetricRow field; fits=None skips the refit."""
     d = labeled.data
     n = d.n
     if name == "Full":
@@ -433,15 +449,14 @@ def _score(labeled: LabeledDataset, name: str, flags: np.ndarray, with_fit: bool
     else:
         row = dict(tpr_inf=math.nan, fpr_inf=flags.size / n, f1=math.nan)
 
+    row.update(err=math.nan, tpr_vs=math.nan, fpr_vs=math.nan)  # missing unless refit below
     kept = np.delete(np.arange(n), flags)
-    if with_fit and kept.size >= 4:
-        sub = Dataset(y=d.y[kept], X=d.X[kept])
-        err, tpr_vs, fpr_vs = fit_metrics(lasso_fit(sub), labeled.beta_true)
+    if fits is not None and kept.size >= _FOLDS:
+        key = kept.tobytes()
+        if key not in fits:  # a refit that raises is not stored
+            fits[key] = lasso_fit(Dataset(y=d.y[kept], X=d.X[kept]))
+        err, tpr_vs, fpr_vs = fit_metrics(fits[key], labeled.beta_true)
         row.update(err=err, tpr_vs=tpr_vs, fpr_vs=fpr_vs)
-    else:
-        # a detector that flags nearly everything leaves nothing to refit;
-        # keep its detection metrics and report the fit columns as missing
-        row.update(err=math.nan, tpr_vs=math.nan, fpr_vs=math.nan)
     return row
 
 

@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from mipdetect.robust_stats import MAD_SCALE_FACTOR
+from mipdetect.simbench import _SIGMA, ConvergenceError
 from mipdetect.subsample import _stream_key
 
 
@@ -189,3 +190,49 @@ def oracle_decomposition(
         float(f_vals.max()),
         float(j_vals.max()),
     )
+
+
+def lasso_path_by_solve(X, y, lambdas) -> np.ndarray:
+    """The lasso homotopy with a fresh solve of X_A^T X_A at every step.
+
+    The same join and drop rules as the package's path, which keeps an
+    updated inverse instead: each step solves (X_A^T X_A) [u, d] =
+    [X_A^T y, n s] afresh, and joins stop once |A| reaches
+    rank(X), found by an SVD.
+    """
+    n, p = X.shape
+    out = np.zeros((len(lambdas), p))
+    active: list[int] = []
+    s = u = d = np.zeros(0)
+    rank = np.linalg.matrix_rank(X)
+    g = 0
+    for _ in range(8 * (n + p)):
+        XA = X[:, active]
+        if active:
+            try:
+                u, d = np.linalg.solve(XA.T @ XA, np.column_stack((XA.T @ y, n * s))).T
+            except np.linalg.LinAlgError as exc:
+                raise ConvergenceError("singular active set on the lasso path") from exc
+        e, a = np.vstack((y - XA @ u, XA @ d)) @ X / n
+        den = 1.0 - _SIGMA * a
+        with np.errstate(divide="ignore", invalid="ignore"):
+            drop = np.where(s * d < 0, u / d, -math.inf)
+            join = np.where(den > 1e-9, _SIGMA * e / den, -math.inf)
+        join[:, active if len(active) < rank else slice(None)] = -math.inf
+        cand = np.concatenate((drop, join.ravel()))
+        k = int(np.argmax(cand))
+        nxt = max(float(cand[k]), 0.0)
+        while g < len(lambdas) and lambdas[g] >= nxt:
+            beta = u - lambdas[g] * d
+            out[g, active] = np.where(beta * s > 0, beta, 0.0)
+            g += 1
+        if g == len(lambdas):
+            return out
+        if k < len(active):
+            del active[k]
+            s = np.delete(s, k)
+        else:
+            row, j = divmod(k - len(active), p)
+            active.append(j)
+            s = np.append(s, _SIGMA[row])
+    raise ConvergenceError("lasso path did not reach the end of the grid")

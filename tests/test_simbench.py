@@ -33,7 +33,7 @@ from mipdetect.simbench import (
 )
 from mipdetect.subsample import draw_subsets, subset_size
 
-from ground_truth import chi2_1_quantile, group_statistic, oracle_decomposition
+from ground_truth import chi2_1_quantile, group_statistic, lasso_path_by_solve, oracle_decomposition
 
 import mipdetect.simbench as simbench
 
@@ -305,6 +305,19 @@ def kkt_gap(X, y, path, lambdas):
     return float(gap.max())
 
 
+def matches_oracle(X, y, grid) -> np.ndarray:
+    """_lasso_path, checked against the solve-per-step homotopy of the tests.
+
+    Coefficients agree to 1e-9 and so do supports, apart from coefficients
+    below 1e-12 on either side.
+    """
+    path, oracle = _lasso_path(X, y, grid), lasso_path_by_solve(X, y, grid)
+    assert np.abs(path - oracle).max() <= 1e-9
+    sizable = np.maximum(np.abs(path), np.abs(oracle)) >= 1e-12
+    assert np.array_equal((path != 0)[sizable], (oracle != 0)[sizable])
+    return path
+
+
 def test_lasso_path_meets_kkt_at_every_grid_point():
     spec = ScenarioSpec(kind=ScenarioKind.EXAMPLE2, mu=6.0, n=50, p=80, n_inf=6, seed=0)
     d = gen_scenario(spec).data
@@ -325,7 +338,7 @@ def test_lasso_path_meets_kkt_on_random_designs():
         X = rng.standard_normal((n, p))
         y = X[:, :3] @ np.array([1.0, -0.5, 0.25]) + rng.standard_normal(n)
         grid = default_lambda_grid(X, y)
-        assert kkt_gap(X, y, _lasso_path(X, y, grid), grid) <= 1e-7
+        assert kkt_gap(X, y, matches_oracle(X, y, grid), grid) <= 1e-7
 
 
 def test_lasso_path_stays_exact_once_the_support_fills_the_rows():
@@ -352,8 +365,39 @@ def test_lasso_path_stays_exact_with_a_duplicated_row_or_column(twin):
     for _ in range(10):
         y = X[:, 0] + rng.standard_normal(12)
         grid = np.append(default_lambda_grid(X, y), 0.0)  # down to the lambda -> 0 limit
-        path = _lasso_path(X, y, grid)
+        path = matches_oracle(X, y, grid)
         assert kkt_gap(X, y, path, grid) <= 1e-7
+
+
+def test_lasso_path_matches_the_oracle_on_the_swamping_refit():
+    # the Full refit of the swamping run's rep 0 (n=100, p=1000): its five
+    # fold paths and the full-data path, which fills the rows
+    spec = ScenarioSpec(kind=ScenarioKind.EXAMPLE2, mu=8.0, seed=simbench._rep_seeds(0, 0)[0])
+    d = gen_scenario(spec).data
+    grid = default_lambda_grid(d.X, d.y)
+    fold_id = np.arange(d.n) % simbench._FOLDS
+    for rows in [fold_id != f for f in range(simbench._FOLDS)] + [slice(None)]:
+        X, y = d.X[rows], d.y[rows]
+        assert kkt_gap(X, y, matches_oracle(X, y, grid), grid) <= 1e-7
+
+
+def test_lasso_fit_runs_no_dense_factorization(monkeypatch):
+    # the path keeps an updated inverse: no per-step solve, no rank SVD
+    def banned(*args, **kwargs):
+        raise AssertionError("dense factorization on the lasso path")
+
+    for name in ("solve", "matrix_rank", "svd"):
+        monkeypatch.setattr(np.linalg, name, banned)
+    spec = ScenarioSpec(kind=ScenarioKind.EXAMPLE2, mu=6.0, n=30, p=90, n_inf=4, seed=2)
+    assert np.count_nonzero(lasso_fit(gen_scenario(spec).data)) > 0
+
+
+def test_lasso_fit_needs_a_row_per_fold():
+    # four rows leave the fifth fold empty, whose error would be NaN at every penalty
+    rng = np.random.default_rng(0)
+    d = Dataset(y=rng.standard_normal(4), X=rng.standard_normal((4, 6)))
+    with pytest.raises(ValueError, match="at least 5 rows"):
+        lasso_fit(d)
 
 
 def test_lasso_with_uncorrelated_response_is_zero_everywhere(monkeypatch):
@@ -364,10 +408,11 @@ def test_lasso_with_uncorrelated_response_is_zero_everywhere(monkeypatch):
     y = np.zeros(12)
     y[:6] = rng.standard_normal(6)
 
-    def no_solve(*args, **kwargs):
-        raise AssertionError("no active set should ever be solved")
+    def no_join(*args, **kwargs):
+        raise AssertionError("no variable should ever join")
 
-    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    # every join grows the inverse Gram matrix by an outer product
+    monkeypatch.setattr(np, "outer", no_join)
     grid = default_lambda_grid(X, y)
     assert np.all(_lasso_path(X, y, grid) == 0.0)
     assert np.all(lasso_fit(Dataset(y=y, X=X)) == 0.0)
@@ -503,8 +548,11 @@ def test_run_experiment_validates_inputs():
         # every method that reads the rep's Z is counted out; MIP and Full still run
         ("standardize", ["MIP", "HIM", "MaxOnly", "MinMultiRound", "Full"],
          ["HIM", "MaxOnly", "MinMultiRound"]),
+        # a refit that raises is not stored, so methods sharing a kept set each fail
+        ("lasso_fit", ["MIP", "HIM", "Full"], ["MIP", "HIM", "Full"]),
     ],
-    ids=["him_detect", "mip_detect", "max_detect", "min_multiround_detect", "standardize"],
+    ids=["him_detect", "mip_detect", "max_detect", "min_multiround_detect", "standardize",
+         "lasso_fit"],
 )
 def test_run_experiment_counts_out_failing_reps(monkeypatch, caplog, broken, methods, failing):
     def explode(*args, **kwargs):
@@ -536,6 +584,33 @@ def test_run_experiment_sweeps_the_first_working_set_once_per_rep(sweep_calls):
     first = [count for (_, round_id, active), count in sweep_calls.items()
              if round_id == 0 and active == full]
     assert first == [1, 1]  # one per rep, each on its own detector seed
+
+
+def test_run_experiment_refits_each_kept_set_once(monkeypatch):
+    # rep 0 of the swamping run: MIP and HIM keep the same 90 rows
+    fitted = []
+    exact = simbench.lasso_fit
+
+    def counting(d):
+        fitted.append(d.n)
+        return exact(d)
+
+    monkeypatch.setattr(simbench, "lasso_fit", counting)
+    spec = ScenarioSpec(kind=ScenarioKind.EXAMPLE2, mu=8.0, seed=0)
+    rows = run_experiment([spec], ["MIP", "HIM", "Full"], 1, with_fit=True)
+    assert fitted == [90, 100]
+    alone = [run_experiment([spec], [name], 1, with_fit=True)[0] for name in ("MIP", "HIM", "Full")]
+    assert results_to_csv(rows) == results_to_csv(alone)
+
+
+@pytest.mark.parametrize("kept", [4, 5])
+def test_refit_needs_a_row_per_fold(monkeypatch, kept):
+    # fewer kept rows than lasso folds: the fit columns are missing, the detection ones stay
+    monkeypatch.setitem(simbench.METHODS, "HIM", lambda d, cfg, Z, first: np.arange(kept, d.n))
+    spec = ScenarioSpec(kind=ScenarioKind.EXAMPLE1, mu=6.0, n=30, p=40, n_inf=2, seed=0)
+    (row,) = run_experiment([spec], ["HIM"], 1, with_fit=True)
+    assert (row.reps, row.tpr_inf, row.fpr_inf) == (1, 0.0, (30 - kept) / 28)
+    assert math.isnan(row.err) == (kept < simbench._FOLDS)
 
 
 def test_null_runs_score_flag_rate_as_fpr():
