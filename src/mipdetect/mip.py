@@ -16,7 +16,7 @@ import numpy as np
 
 from .chi2_fdr import bh_select, chi2_1_sf_vec
 from .robust_stats import Dataset, EstimatorMode, InfluenceMatrix, standardize
-from .subsample import _KEY_R_BITS, _SHARED_OVERDRAW, _scores, min_max_sweep, subset_size
+from .subsample import _scores, min_max_sweep, subset_ids, subset_size
 
 
 class DegenerateShrinkageError(RuntimeError):
@@ -47,11 +47,7 @@ class MipConfig:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("m must be at least 1")
-        # every subset id of a draw stream must fit the stream key; the pool draws 2.5 m of them
-        ids = math.ceil(_SHARED_OVERDRAW * self.m) if self.shared_subsets else self.m
-        if ids > 1 << _KEY_R_BITS:
-            raise ValueError(f"m = {self.m} needs {ids} subset ids per stream; "
-                             f"the stream key holds {1 << _KEY_R_BITS}")
+        subset_ids(self.m, self.shared_subsets)  # every subset id must fit the stream key
         if not 0.0 < self.k_sub < 1.0:
             raise ValueError("k_sub must be in (0, 1)")
         if not 0.0 < self.alpha < 1.0 or not 0.0 < self.alpha0 < 1.0:
@@ -232,6 +228,16 @@ def min_max_clean_set(Z: InfluenceMatrix, cfg: MipConfig, first: tuple) -> Clean
 # ---------------------------------------------------------------------------
 
 
+def _clean_set(Z: InfluenceMatrix, S_c, least: int) -> np.ndarray:
+    """S_c's distinct rows, sorted; ValueError unless there are ``least`` of them, all in Z."""
+    clean = np.unique(np.asarray(S_c, dtype=np.int64))
+    if clean.size < least:
+        raise ValueError(f"clean set needs at least {least} observation(s)")
+    if clean[0] < 0 or clean[-1] >= Z.n:
+        raise ValueError("clean set index out of range")
+    return clean
+
+
 def _checking_stats(Z: InfluenceMatrix, clean: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Checking statistic of each of ``rows`` against the clean set without that row.
 
@@ -257,11 +263,7 @@ def checking_step(Z: InfluenceMatrix, S_c, alpha0: float = 0.05) -> DetectionRep
     the clean set ||^2 with n_c = |S_c| + 1; chi-square(1) p-values go
     through BH at alpha0. An empty suspect set reports no influentials.
     """
-    clean = np.unique(np.asarray(S_c, dtype=np.int64))
-    if clean.size == 0:
-        raise ValueError("clean set must be non-empty")
-    if clean[0] < 0 or clean[-1] >= Z.n:
-        raise ValueError("clean set index out of range")
+    clean = _clean_set(Z, S_c, 1)
     suspects = np.setdiff1d(np.arange(Z.n, dtype=np.int64), clean)
 
     records = report_records(Z.n)
@@ -282,10 +284,7 @@ def checking_statistics_all(Z: InfluenceMatrix, S_c) -> np.ndarray:
     themselves (reference size |S_c| - 1), outsiders against the full
     clean set; used for figure-style p-value exports.
     """
-    clean = np.unique(np.asarray(S_c, dtype=np.int64))
-    if clean.size < 2:
-        raise ValueError("need at least two clean observations")
-    return _checking_stats(Z, clean, np.arange(Z.n))
+    return _checking_stats(Z, _clean_set(Z, S_c, 2), np.arange(Z.n))
 
 
 # ---------------------------------------------------------------------------

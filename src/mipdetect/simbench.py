@@ -77,6 +77,7 @@ class MetricRow:
     tpr_vs: float
     fpr_vs: float
     reps: int
+    fit_reps: int  # reps whose refit err is in the fit columns' means
 
 
 # ---------------------------------------------------------------------------
@@ -467,5 +468,6 @@ def _aggregate(rows: list[dict], name: str, spec: ScenarioSpec) -> MetricRow:
             return math.nan
         return float(np.nanmean(vals))
 
-    fixed = dict(method=name, mu=spec.mu, reps=len(rows))
+    fits = sum(not math.isnan(r["err"]) for r in rows)
+    fixed = dict(method=name, mu=spec.mu, reps=len(rows), fit_reps=fits)
     return MetricRow(**fixed, **{f.name: mean(f.name) for f in fields(MetricRow) if f.name not in fixed})

@@ -20,14 +20,17 @@ One kernel: with q the squared norm of a subset's column sum and g its
 inner product with Z_k, the statistic is p^{-1} (q/s^2 - 2g/s + K_kk) with
 K = Z Z^T, so a subset costs O(n_U), not O(p), once K exists (``_scores``).
 K is formed once per sample (``InfluenceMatrix.gram``) and a sweep takes
-the working set's block K_U of it. Private draws and the shared pool both
-score 0/1 indicator rows W against K_U (``_subset_scores``): R = W @ K_U,
-q = <R_r, W_r> and g = R[r, k]. They differ only in where the rows come
-from: m streams of the target's own, or one pool drawn from a reserved
-target slot, of which each target scores the first m subsets that exclude
-it, or its private draws if the pool has too few. Private blocks are drawn
-and scored one after another on the caller, small ones on one OpenBLAS
-thread; K and the pool keep the caller's threads.
+the working set's block K_U of it, then scores every observation of the
+set. Private draws and the shared pool both score 0/1 indicator rows W
+against K_U (``_subset_extremes``): R = W @ K_U, q = <R_r, W_r> and
+g = R[r, k]. They differ only in where the rows come from: m streams of
+the target's own, or one pool of ceil(2.5 m) subsets drawn from a reserved
+target slot, of which each target scores the first m that exclude it, or
+its private draws if the pool has too few. ``subset_ids`` is where a
+sweep's subset-id count is checked against the key's 20-bit field.
+Private blocks of about 4 MB are drawn and scored one after another on
+the caller, small ones on one OpenBLAS thread; K and the pool keep the
+caller's threads.
 """
 
 from __future__ import annotations
@@ -188,17 +191,26 @@ def _scores(q: np.ndarray, g: np.ndarray, K_kk, s: int, p: int) -> np.ndarray:
     return stats
 
 
-def _subset_scores(W, K, batch, rows, targets, s, p) -> np.ndarray:
-    """Statistics of the indicator rows ``W[rows[i]]`` against target position ``targets[i]``.
+def _subset_extremes(W, K, batch, rows, targets, s, p) -> np.ndarray:
+    """Rows T_min, T_max: extremes of the statistics of ``W[rows[i]]`` at target ``targets[i]``.
 
     R = W @ K is taken ``batch`` rows per product, so that a row's bits
-    never depend on the block it is scored in. The result has the shape
-    of ``rows``.
+    never depend on the block it is scored in.
     """
     R = (W.reshape(-1, batch, W.shape[1]) @ K).reshape(W.shape)
     q = np.einsum("ij,ij->i", R, W)
     r, k = rows.ravel(), np.repeat(targets, rows.shape[1])
-    return _scores(q[r], R[r, k], K.diagonal()[k], s, p).reshape(rows.shape)
+    stats = _scores(q[r], R[r, k], K.diagonal()[k], s, p).reshape(rows.shape)
+    return np.stack((stats.min(axis=1), stats.max(axis=1)))
+
+
+def subset_ids(m: int, shared: bool) -> int:
+    """A sweep's subset ids per stream, m or the pool's; ValueError past the key's field."""
+    ids = math.ceil(_SHARED_OVERDRAW * m) if shared else m
+    if ids > 1 << _KEY_R_BITS:
+        raise ValueError(f"m = {m} needs {ids} subset ids per stream; "
+                         f"the stream key holds {1 << _KEY_R_BITS}")
+    return ids
 
 
 def min_max_sweep(
@@ -209,63 +221,45 @@ def min_max_sweep(
     seed: int,
     round_id: int,
     *,
-    targets=None,
     shared: bool = False,
 ):
-    """T_min and T_max for every target in one pass over a working set.
+    """T_min and T_max of every observation of a working set, in one pass.
 
-    Returns (t_min, t_max) aligned with the sorted active set (or with
-    ``targets`` when given).
+    Returns (t_min, t_max) aligned with the sorted active set.
     Output is a pure function of the arguments: how targets are split into
-    blocks never changes a bit. Private blocks are drawn and scored in turn
-    on the caller, those with m * n_U^2 <= 4e6 on one OpenBLAS thread where
-    NumPy bundles it; at large n, other blocks, the pool and K may take bits
-    from OPENBLAS_NUM_THREADS.
+    blocks never changes a bit. Private blocks hold about 4 MB of buffers
+    each and are drawn and scored in turn on the caller, on one OpenBLAS
+    thread where NumPy bundles it if m * n_U^2 <= 4e6; at large n, other
+    blocks, the pool and K may take bits from OPENBLAS_NUM_THREADS.
     """
     av = np.unique(np.asarray(active, dtype=np.int64))
     n_U = av.size
     s = n_sub - 1
     if not 1 <= s <= n_U - 1:
         raise ValueError("subset size out of range for this working set")
+    M = subset_ids(m, shared)
     K = Z.gram if av[0] == 0 and av[-1] == n_U - 1 == Z.n - 1 else Z.gram[np.ix_(av, av)]
-
-    if targets is None:
-        positions = np.arange(n_U)
-    else:
-        positions = np.searchsorted(av, np.asarray(targets, dtype=np.int64))
-        if (positions >= n_U).any() or (av[positions] != targets).any():
-            raise ValueError("targets must belong to the active set")
-
-    nt = positions.size
-    t_min, t_max = np.empty(nt), np.empty(nt)
-
-    def emit(idx, stats):
-        t_min[idx] = stats.min(axis=1)
-        t_max[idx] = stats.max(axis=1)
-
-    private = np.arange(nt)
+    t = np.empty((2, n_U))  # T_min, T_max
+    private = np.arange(n_U)
     if shared:
-        M = int(math.ceil(_SHARED_OVERDRAW * m))
         member = _indicators(_uniforms(seed, [_SHARED_KEY_SLOT], round_id, M, n_U), s)
         # rank each target's usable (excluding) pooled rows; serve those with m
-        avail = member[:, positions] == 0.0
+        avail = member == 0.0
         rank = np.cumsum(avail, axis=0)
         served = rank[-1] >= m
         rows = np.nonzero((avail & (rank <= m))[:, served].T)[1].reshape(-1, m)
-        stats = _subset_scores(member, K, M, rows, positions[served], s, Z.p)
-        emit(np.flatnonzero(served), stats)
         private = np.flatnonzero(~served)
+        t[:, served] = _subset_extremes(member, K, M, rows, np.flatnonzero(served), s, Z.p)
 
     # one BLAS thread pays on small products only: from n_U = 300 (m = 100) it costs wall time
     pin = _one_blas_thread if m * n_U * n_U <= 4_000_000 else contextlib.nullcontext()
 
     # a block's (targets*m, n_U) buffers (uniforms then W, their partition, R) stay near 4 MB
-    chunk = max(1, min(64, 500_000 // max(1, m * n_U)))
+    chunk = max(1, 500_000 // (m * n_U))
     for lo in range(0, private.size, chunk):
         idx = private[lo:lo + chunk]
-        tpos = positions[idx]
-        u = _uniforms(seed, av[tpos], round_id, m, n_U - 1, 1)
+        u = _uniforms(seed, av[idx], round_id, m, n_U - 1, 1)
         rows = np.arange(idx.size * m).reshape(-1, m)
         with pin:
-            emit(idx, _subset_scores(_indicators(u, s, skip=tpos), K, m, rows, tpos, s, Z.p))
-    return t_min, t_max
+            t[:, idx] = _subset_extremes(_indicators(u, s, skip=idx), K, m, rows, idx, s, Z.p)
+    return t[0], t[1]

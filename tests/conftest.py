@@ -49,7 +49,7 @@ def parse_results_csv(text: str):
                 row[key] = cell
             elif cell == "":
                 row[key] = float("nan")
-            elif key == "reps":
+            elif key in ("reps", "fit_reps"):
                 row[key] = int(cell)
             else:
                 row[key] = float(cell)

@@ -11,9 +11,24 @@ import math
 
 import numpy as np
 
-from mipdetect.robust_stats import MAD_SCALE_FACTOR
+from mipdetect.robust_stats import MAD_SCALE_FACTOR, EstimatorMode, InfluenceMatrix
 from mipdetect.simbench import _SIGMA, ConvergenceError
 from mipdetect.subsample import _stream_key
+
+
+def influence_from(Z) -> InfluenceMatrix:
+    """Wrap a raw matrix as standardized data; only the products of its rows matter."""
+    Z = np.asarray(Z, dtype=np.float64)
+    n, p = Z.shape
+    return InfluenceMatrix(
+        Z=Z,
+        yhat=np.ones(n),
+        mu_y=0.0,
+        sigma_y=1.0,
+        mu_x=np.zeros(p),
+        sigma_x=np.ones(p),
+        mode=EstimatorMode.SAMPLE,
+    )
 
 
 def robust_location_scale(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -406,7 +406,8 @@ def test_simulate_is_deterministic(tmp_path):
     assert run_cli(args + ["--out", second])[0] == 0
     assert first.read_bytes() == second.read_bytes()
     header, rows = read_rows(first)
-    assert header == ["method", "mu", "tpr_inf", "fpr_inf", "f1", "err", "tpr_vs", "fpr_vs", "reps"]
+    assert header == ["method", "mu", "tpr_inf", "fpr_inf", "f1", "err", "tpr_vs", "fpr_vs", "reps",
+                      "fit_reps"]
     assert [r[0] for r in rows] == ["MIP", "HIM"]
 
 
@@ -444,8 +445,8 @@ def test_simulate_names_each_failed_rep_in_one_line(tmp_path):
         "rep 0 of example1 failed for MIP", "rep 1 of example1 failed for MIP"
     ]
     assert all("cannot support subsets of size" in line for line in failures)
-    _, rows = read_rows(out)
-    assert [(r[0], r[-1]) for r in rows] == [("MIP", "0"), ("MaxOnly", "2")]
+    header, rows = read_rows(out)
+    assert [(r[0], r[header.index("reps")]) for r in rows] == [("MIP", "0"), ("MaxOnly", "2")]
 
 
 def test_simulate_help_names_every_method(capsys):
@@ -598,8 +599,8 @@ def test_simulate_null_runs_under_the_default_n_inf(tmp_path):
     code, err = run_cli(["simulate", "--example", "null", "--n", 20, "--p", 30, "--reps", 1,
                          "--methods", "HIM", "--out", out])
     assert code == 0, err
-    _, rows = read_rows(out)
-    assert [(r[0], r[-1]) for r in rows] == [("HIM", "1")]
+    header, rows = read_rows(out)
+    assert [(r[0], r[header.index("reps")]) for r in rows] == [("HIM", "1")]
 
 
 def test_too_small_working_sets_have_documented_exit_codes(tmp_path):

@@ -9,24 +9,8 @@ from mipdetect import (
     him_scores,
     standardize,
 )
-from mipdetect.robust_stats import InfluenceMatrix
 
-from ground_truth import chi2_1_sf, him_statistic, marginal_correlation
-
-
-def influence_from(Z: np.ndarray) -> InfluenceMatrix:
-    """Wrap a raw matrix; only the products matter to these statistics."""
-    Z = np.asarray(Z, dtype=np.float64)
-    n, p = Z.shape
-    return InfluenceMatrix(
-        Z=Z,
-        yhat=np.ones(n),
-        mu_y=0.0,
-        sigma_y=1.0,
-        mu_x=np.zeros(p),
-        sigma_x=np.ones(p),
-        mode=EstimatorMode.SAMPLE,
-    )
+from ground_truth import chi2_1_sf, him_statistic, influence_from, marginal_correlation
 
 
 def test_identical_rows_score_zero_everywhere():

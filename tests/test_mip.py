@@ -30,24 +30,9 @@ from mipdetect import (
     standardize,
 )
 from mipdetect.chi2_fdr import bh_select, chi2_1_sf_vec
-from mipdetect.robust_stats import InfluenceMatrix
 from mipdetect.subsample import _KEY_R_BITS, _stream_key, min_max_sweep, subset_size
 
-from ground_truth import marginal_correlation
-
-
-def influence_from(Z: np.ndarray) -> InfluenceMatrix:
-    Z = np.asarray(Z, dtype=np.float64)
-    n, p = Z.shape
-    return InfluenceMatrix(
-        Z=Z,
-        yhat=np.ones(n),
-        mu_y=0.0,
-        sigma_y=1.0,
-        mu_x=np.zeros(p),
-        sigma_x=np.ones(p),
-        mode=EstimatorMode.SAMPLE,
-    )
+from ground_truth import influence_from, marginal_correlation
 
 
 def small_contaminated():
@@ -120,6 +105,10 @@ def test_config_bounds_m_by_the_subset_ids_the_stream_key_holds():
     for kwargs, ids in (({"m": top + 1}, top + 1), ({"m": 419_431, "shared_subsets": True}, 1_048_578)):
         with pytest.raises(ValueError, match=f"m = {kwargs['m']} needs {ids} subset ids"):
             MipConfig(**kwargs)
+        # the sweep counts its subset ids the same way before it draws any
+        with pytest.raises(ValueError, match=f"m = {kwargs['m']} needs {ids} subset ids"):
+            min_max_sweep(influence_from(np.eye(4)), np.arange(4), kwargs["m"], 2, 0, 0,
+                          shared=kwargs.get("shared_subsets", False))
 
 
 def test_config_accepts_c_equal_one():
@@ -328,6 +317,14 @@ def test_checking_statistics_all_needs_two_clean_rows():
     Z = influence_from(np.eye(4))
     with pytest.raises(ValueError):
         checking_statistics_all(Z, [2])
+
+
+@pytest.mark.parametrize("clean", [[-1, 3], [3, 5]])
+@pytest.mark.parametrize("check", [checking_step, checking_statistics_all])
+def test_checking_rejects_a_clean_index_outside_the_sample(check, clean):
+    # -1 must not wrap around to row n - 1, nor n fail as a bare IndexError
+    with pytest.raises(ValueError, match="clean set index out of range"):
+        check(influence_from(np.eye(5)), clean)
 
 
 def test_checking_flags_all_planted_with_rare_false_alarms(ex2_mu8_bundle):
@@ -566,7 +563,7 @@ def test_benchmark_trace_targets_resolve(monkeypatch):
     Z = standardize(small_contaminated().data)
     for shared in (False, True):
         args = (Z, np.arange(Z.n), 20, subset_size(Z.n, 0.5), 7, 0)
-        kwargs = {"targets": None, "shared": shared}
+        kwargs = {"shared": shared}
         bound = inspect.signature(min_max_sweep).bind(*args, **kwargs)
         assert list(bound.arguments)[:6] == ["Z", "active", "m", "n_sub", "seed", "round_id"]
         probe = layers.SweepProbe()
@@ -575,6 +572,17 @@ def test_benchmark_trace_targets_resolve(monkeypatch):
         # only a private sweep is replayed, through draw_subsets
         assert (probe.args is None) == shared
         probe.run(Tracer())
+
+
+def test_benchmark_setup_reproduces_the_pinned_inputs(monkeypatch, tmp_path):
+    # the benchmark's set-up imports src/ names and regenerates its inputs;
+    # a rename or an input drift would fail every op of the workload
+    run = load_perfbench("run", monkeypatch)
+    for name in ("simulate-fit", "detect-desk"):
+        wl = run.WORKLOADS[name]
+        monkeypatch.setattr(wl, "dir", tmp_path / name)
+        (got,) = wl.prepare([0], run.load_reference(name))  # SetupError on a hash mismatch
+        assert got["id"] == 0
 
 
 def test_shared_detect_memory_is_z_plus_two_gram_blocks():

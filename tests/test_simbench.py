@@ -611,6 +611,7 @@ def test_refit_needs_a_row_per_fold(monkeypatch, kept):
     (row,) = run_experiment([spec], ["HIM"], 1, with_fit=True)
     assert (row.reps, row.tpr_inf, row.fpr_inf) == (1, 0.0, (30 - kept) / 28)
     assert math.isnan(row.err) == (kept < simbench._FOLDS)
+    assert row.fit_reps == (kept >= simbench._FOLDS)
 
 
 def test_null_runs_score_flag_rate_as_fpr():
@@ -626,6 +627,12 @@ def test_detection_power_grows_with_signal(ex1_trend_rows):
     for lo, hi in zip(tprs, tprs[1:]):
         assert hi >= lo
     assert tprs[-1] >= 0.95
+
+
+def test_results_count_the_reps_their_fit_columns_average(swamping_csv_rows):
+    # HIM keeps fewer rows than lasso folds on 15 of the 20 swamping reps
+    counts = {name: (row["reps"], row["fit_reps"]) for name, row in swamping_csv_rows.items()}
+    assert counts == {"MIP": (20, 20), "HIM": (20, 5), "Full": (20, 20)}
 
 
 def test_false_positives_controlled_across_swamping_grid(ex2_grid_rows, swamping_csv_rows):
@@ -652,11 +659,11 @@ def sample_rows():
     return [
         MetricRow(
             method="MIP", mu=6.0, tpr_inf=0.95, fpr_inf=1 / 3, f1=0.9193548387096774,
-            err=0.2694, tpr_vs=1.0, fpr_vs=0.01, reps=20,
+            err=0.2694, tpr_vs=1.0, fpr_vs=0.01, reps=20, fit_reps=20,
         ),
         MetricRow(
             method="Full", mu=6.0, tpr_inf=nan, fpr_inf=nan, f1=nan,
-            err=1.072, tpr_vs=0.8, fpr_vs=0.05, reps=20,
+            err=1.072, tpr_vs=0.8, fpr_vs=0.05, reps=20, fit_reps=19,
         ),
     ]
 
@@ -670,12 +677,12 @@ def test_results_csv_round_trip():
     for row, line in zip(rows, lines[1:]):
         cells = line.split(",")
         assert cells[0] == row.method
-        for cell, value in zip(cells[1:-1], (row.mu, row.tpr_inf, row.fpr_inf, row.f1, row.err, row.tpr_vs, row.fpr_vs)):
+        for cell, value in zip(cells[1:-2], (row.mu, row.tpr_inf, row.fpr_inf, row.f1, row.err, row.tpr_vs, row.fpr_vs)):
             if math.isnan(value):
                 assert cell == ""
             else:
                 assert float(cell) == value
-        assert int(cells[-1]) == row.reps
+        assert (int(cells[-2]), int(cells[-1])) == (row.reps, row.fit_reps)
     # Full rows carry fit metrics but no detection rates
     full_line = lines[2].split(",")
     assert full_line[2] == ""

@@ -13,7 +13,6 @@ from mipdetect import (
     subset_size,
 )
 from mipdetect.chi2_fdr import chi2_1_sf_vec
-from mipdetect.robust_stats import InfluenceMatrix
 from mipdetect import simbench, subsample
 from mipdetect.subsample import (
     _SHARED_KEY_SLOT,
@@ -22,6 +21,7 @@ from mipdetect.subsample import (
     _stream_key,
     _uniforms,
     draw_subsets,
+    subset_ids,
 )
 
 from ground_truth import (
@@ -29,23 +29,10 @@ from ground_truth import (
     draw_positions,
     group_statistic,
     indicator_rows,
+    influence_from,
     marginal_correlation,
     point_energy,
 )
-
-
-def influence_from(Z: np.ndarray) -> InfluenceMatrix:
-    Z = np.asarray(Z, dtype=np.float64)
-    n, p = Z.shape
-    return InfluenceMatrix(
-        Z=Z,
-        yhat=np.ones(n),
-        mu_y=0.0,
-        sigma_y=1.0,
-        mu_x=np.zeros(p),
-        sigma_x=np.ones(p),
-        mode=EstimatorMode.SAMPLE,
-    )
 
 
 def ks_statistic(sample: np.ndarray, above: float = 0.0) -> float:
@@ -282,11 +269,9 @@ def test_point_energy_validates_the_index():
 
 
 def one_target(Z, n_active, k, m, seed, k_sub=0.5):
-    """(T_min, T_max) of target k over rows 0..n_active-1, round 0."""
-    t_min, t_max = min_max_sweep(
-        Z, np.arange(n_active), m, subset_size(n_active, k_sub), seed, 0, targets=[k]
-    )
-    return float(t_min[0]), float(t_max[0])
+    """(T_min, T_max) of target k in the round-0 sweep over rows 0..n_active-1."""
+    t_min, t_max = min_max_sweep(Z, np.arange(n_active), m, subset_size(n_active, k_sub), seed, 0)
+    return float(t_min[k]), float(t_max[k])
 
 
 def test_single_subset_collapses_min_and_max():
@@ -347,24 +332,6 @@ def test_sweep_over_many_blocks_draws_each_target_once(monkeypatch):
     assert np.array_equal(runs[1][0], runs[0][0])
     assert np.array_equal(runs[1][1], runs[0][1])
     assert drawn == [48, 48, 48, 48, 15] * 2
-    targets = np.array([209, 3, 100, 57, 150, 4], dtype=np.int64)
-    part = min_max_sweep(Z, active, m, n_sub, seed=41, round_id=1, targets=targets)
-    pos = targets - 3
-    assert np.array_equal(part[0], runs[0][0][pos])
-    assert np.array_equal(part[1], runs[0][1][pos])
-
-
-def test_sweep_honors_an_explicit_target_list():
-    rng = np.random.default_rng(25)
-    Z = influence_from(rng.standard_normal((20, 5)))
-    active = np.arange(20)
-    targets = np.array([2, 9, 17], dtype=np.int64)
-    for shared in (False, True):
-        full = min_max_sweep(Z, active, 15, 11, seed=5, round_id=0, shared=shared)
-        part = min_max_sweep(Z, active, 15, 11, seed=5, round_id=0, targets=targets, shared=shared)
-        for pos, t in enumerate(targets):
-            assert part[0][pos] == full[0][t]
-            assert part[1][pos] == full[1][t]
 
 
 def test_shared_subset_pool_is_deterministic():
@@ -389,6 +356,38 @@ def test_shared_pool_falls_back_to_private_draws_when_starved():
     plain = min_max_sweep(Z, active, 40, 6, seed=13, round_id=0, shared=False)
     assert np.array_equal(shared[0], plain[0])
     assert np.array_equal(shared[1], plain[1])
+
+
+def test_partly_starved_pool_leaves_the_starved_rows_bits_alone(monkeypatch):
+    # subsets of 90 out of 150 rows: a pooled draw excludes a target 40% of the
+    # time, so M = 500 draws exclude it m = 200 times on average and about half
+    # the targets are starved. Their private blocks hold only starved targets,
+    # unlike the plain sweep's, and must not change a bit of their rows.
+    rng = np.random.default_rng(30)
+    Z = influence_from(rng.standard_normal((150, 7)))
+    active = np.arange(150)
+    m, n_sub, seed, round_id = 200, 91, 17, 3
+    pool = draw_rows(seed, [_SHARED_KEY_SLOT], round_id, subset_ids(m, True), 150, n_sub - 1)
+    starved = np.flatnonzero((pool == 0.0).sum(axis=0) < m)
+    assert 30 <= starved.size <= 120
+    blocks = []
+    uniforms = subsample._uniforms
+
+    def spy(seed, keys, *args, **kwargs):
+        blocks.append(list(keys))
+        return uniforms(seed, keys, *args, **kwargs)
+
+    monkeypatch.setattr(subsample, "_uniforms", spy)
+    shared = min_max_sweep(Z, active, m, n_sub, seed, round_id, shared=True)
+    private = blocks[1:]
+    blocks.clear()
+    plain = min_max_sweep(Z, active, m, n_sub, seed, round_id)
+    assert sum(private, []) == starved.tolist()
+    assert private[0] != blocks[0][:len(private[0])]  # the blocks are composed differently
+    assert np.array_equal(shared[0][starved], plain[0][starved])
+    assert np.array_equal(shared[1][starved], plain[1][starved])
+    served = np.setdiff1d(active, starved)
+    assert not np.array_equal(shared[0][served], plain[0][served])
 
 
 def test_shared_pool_statistics_replay_the_first_usable_pooled_subsets():
@@ -462,15 +461,14 @@ def two_blas_threads():
 
 
 def pinned_products(threads_on_entry=None):
-    """Private T_min/T_max bytes at n=200, m=100 (the largest pinned block); lasso_fit's beta."""
+    """Private T_min/T_max bytes at n=200, m=100 (the largest pinned blocks); lasso_fit's beta."""
     rng = np.random.default_rng(47)
     Z = influence_from(rng.standard_normal((200, 40)))
     X = rng.standard_normal((60, 200))
     data = Dataset(X=X, y=X[:, :4].sum(axis=1) + rng.standard_normal(60))
     if threads_on_entry is not None:
         blas[1](threads_on_entry)
-    targets = np.array([0, 117, 199], dtype=np.int64)
-    t_min, t_max = min_max_sweep(Z, np.arange(200), 100, 101, seed=13, round_id=2, targets=targets)
+    t_min, t_max = min_max_sweep(Z, np.arange(200), 100, 101, seed=13, round_id=2)
     return t_min.tobytes() + t_max.tobytes(), lasso_fit(data).tobytes()
 
 
@@ -496,19 +494,21 @@ def test_blas_pin_is_a_no_op_without_the_openblas_symbols(two_blas_threads, monk
 def test_private_blocks_pin_blas_only_for_small_products(
     two_blas_threads, monkeypatch, n, m, pinned
 ):
-    # one thread pays up to m * n_U^2 = 4e6 multiply-adds per product; bigger ones keep the caller's
+    # one thread pays up to m * n_U^2 = 4e6 multiply-adds per product; bigger ones keep the
+    # caller's. A block holds 500_000 // (m * n) targets, the ~4 MB buffer bound: 8, 9, 8 blocks.
+    blocks = -(-n // (500_000 // (m * n)))
     get, _ = two_blas_threads
     seen = []
-    scores = subsample._subset_scores
+    scores = subsample._subset_extremes
 
     def spy(*args):
         seen.append(get())
         return scores(*args)
 
-    monkeypatch.setattr(subsample, "_subset_scores", spy)
+    monkeypatch.setattr(subsample, "_subset_extremes", spy)
     Z = influence_from(np.random.default_rng(50).standard_normal((n, 5)))
-    min_max_sweep(Z, np.arange(n), m, n // 2 + 1, seed=3, round_id=0, targets=[1, n - 2])
-    assert seen == [1 if pinned else 2]
+    min_max_sweep(Z, np.arange(n), m, n // 2 + 1, seed=3, round_id=0)
+    assert seen == [1 if pinned else 2] * blocks
     assert get() == 2
 
 
@@ -539,7 +539,7 @@ def test_blas_pin_nests_across_threads_and_restores_after_a_raise(two_blas_threa
         both_inside.wait()
 
     monkeypatch.setattr(simbench, "_certified_path", lasso_step)
-    monkeypatch.setattr(subsample, "_subset_scores", failing_scores)
+    monkeypatch.setattr(subsample, "_subset_extremes", failing_scores)
     rng = np.random.default_rng(49)
     X = rng.standard_normal((40, 30))
     data = Dataset(X=X, y=X[:, 0] + rng.standard_normal(40))
