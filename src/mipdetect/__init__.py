@@ -7,7 +7,6 @@ from .chi2_fdr import (
     bh_select,
     chi2_1_sf_vec,
 )
-from .him import him_detect, him_scores
 from .mip import (
     CleanSetResult,
     DegenerateShrinkageError,
@@ -16,7 +15,10 @@ from .mip import (
     checking_statistics_all,
     checking_step,
     first_sweep,
+    him_detect,
+    him_scores,
     max_detect,
+    min_max_checking,
     min_max_clean_set,
     min_multiround_detect,
     mip_detect,
@@ -57,6 +59,7 @@ __all__ = [
     "checking_step",
     "first_sweep",
     "max_detect",
+    "min_max_checking",
     "min_max_clean_set",
     "min_multiround_detect",
     "mip_detect",

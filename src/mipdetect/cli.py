@@ -24,16 +24,15 @@ import numpy as np
 
 from . import __version__
 from .chi2_fdr import chi2_1_sf_vec, log10_pvalues
-from .him import him_detect
 from .mip import (
     DegenerateShrinkageError,
     DetectionReport,
     MipConfig,
     checking_statistics_all,
-    checking_step,
     first_sweep,
+    him_detect,
     max_detect,
-    min_max_clean_set,
+    min_max_checking,
     min_multiround_detect,
     mip_detect,
 )
@@ -434,17 +433,16 @@ def cmd_plot_data(args) -> int:
     cfg = _config(args)
     Z, _ = _load_standardized(args)
     first = first_sweep(Z, cfg)
-    cs = min_max_clean_set(Z, cfg, first)
-    mip_flags = checking_step(Z, cs.clean, cfg.alpha0).records.influential
+    mip_report = min_max_checking(Z, cfg, first)
     max_rec = max_detect(Z, cfg, first).records
     min_rec = min_multiround_detect(Z, cfg, first).records
-    p_check = chi2_1_sf_vec(checking_statistics_all(Z, cs.clean))
+    p_check = chi2_1_sf_vec(checking_statistics_all(Z, mip_report.clean_set))
 
     columns = (
         log10_pvalues(max_rec.p_value),
         log10_pvalues(min_rec.p_value),
         log10_pvalues(p_check),
-        mip_flags,
+        mip_report.records.influential,
         max_rec.influential,
         min_rec.influential,
     )

@@ -1,10 +1,13 @@
-"""The Min-Max-Checking detector and its single-statistic relatives.
+"""The Min-Max-Checking detector and its relatives.
 
 The pipeline estimates a clean subset by alternating a Min-Step (remove
 observations whose T_min rejects) with a Max-Step (tentatively set aside
 observations whose T_max rejects) until enough of the sample survives,
 then tests every suspect against the clean set with a chi-square(1)
-checking statistic under BH selection.
+checking statistic under BH selection. ``mip_detect`` standardizes and
+takes the first sweep; the detectors read (Z, cfg, first). The
+leave-one-out baseline (HIM) is the checking statistic against the
+whole sample.
 """
 
 from __future__ import annotations
@@ -241,19 +244,19 @@ def _clean_set(Z: InfluenceMatrix, S_c, least: int) -> np.ndarray:
 def _checking_stats(Z: InfluenceMatrix, clean: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Checking statistic of each of ``rows`` against the clean set without that row.
 
-    The clean set is one more subset, scored from the Gram matrix like
-    the sweep's: with R = K 1_c, a row outside it has q = <R, 1_c> and
+    The clean set is one more subset, scored like the sweep's but in O(np):
+    with u = Z^T 1_c and R = Z u, a row outside it has q = <u, u> and
     g = R_i over s = |c|; a member leaves itself out, so its q loses
-    2 R_i - K_ii, its g loses K_ii and its s is |c| - 1.
+    2 R_i - K_ii, its g loses its squared norm K_ii and its s is |c| - 1.
     """
-    K = Z.gram
     w = np.zeros(Z.n)
     w[clean] = 1.0
-    R = K @ w
-    K_ii = K.diagonal()[rows]
+    u = w @ Z.Z  # a product, not a gather: no copy of the clean rows
+    R = (Z.Z @ u)[rows]
+    K_ii = np.einsum("ij,ij->i", Z.Z, Z.Z)[rows]
     inside = w[rows]
-    q = R @ w - inside * (2.0 * R[rows] - K_ii)
-    return _scores(q, R[rows] - inside * K_ii, K_ii, clean.size - inside, Z.p)
+    q = u @ u - inside * (2.0 * R - K_ii)
+    return _scores(q, R - inside * K_ii, K_ii, clean.size - inside, Z.p)
 
 
 def checking_step(Z: InfluenceMatrix, S_c, alpha0: float = 0.05) -> DetectionReport:
@@ -261,19 +264,17 @@ def checking_step(Z: InfluenceMatrix, S_c, alpha0: float = 0.05) -> DetectionRep
 
     The statistic for suspect i is n_c^2 * D_i = p^{-1} || Z_i - mean over
     the clean set ||^2 with n_c = |S_c| + 1; chi-square(1) p-values go
-    through BH at alpha0. An empty suspect set reports no influentials.
+    through BH at alpha0. An empty suspect set reports no influentials,
+    and alpha0 is validated either way.
     """
     clean = _clean_set(Z, S_c, 1)
     suspects = np.setdiff1d(np.arange(Z.n, dtype=np.int64), clean)
-
-    records = report_records(Z.n)
-    if suspects.size:
-        stats = _checking_stats(Z, clean, suspects)
-        pvals = chi2_1_sf_vec(stats)
-        records.influential[suspects[bh_select(pvals, alpha0).rejected]] = True
-        records.checking_stat[suspects] = stats
-        records.statistic[suspects] = stats
-        records.p_value[suspects] = pvals
+    stats = _checking_stats(Z, clean, suspects)
+    pvals = chi2_1_sf_vec(stats)
+    records = report_records(Z.n, suspects[bh_select(pvals, alpha0).rejected])
+    records.checking_stat[suspects] = stats
+    records.statistic[suspects] = stats
+    records.p_value[suspects] = pvals
     return DetectionReport(method="checking", records=records, clean_set=clean)
 
 
@@ -293,9 +294,13 @@ def checking_statistics_all(Z: InfluenceMatrix, S_c) -> np.ndarray:
 
 
 def mip_detect(d: Dataset, cfg: MipConfig = MipConfig()) -> DetectionReport:
-    """Full pipeline: standardize, estimate a clean set, check suspects."""
+    """Full pipeline: standardize, take the first sweep, then ``min_max_checking``."""
     Z = standardize(d, cfg.estimator)
-    first = first_sweep(Z, cfg)
+    return min_max_checking(Z, cfg, first_sweep(Z, cfg))
+
+
+def min_max_checking(Z: InfluenceMatrix, cfg: MipConfig, first: tuple) -> DetectionReport:
+    """Clean-set search, then the checking step; ``first`` is ``first_sweep(Z, cfg)``."""
     cs = min_max_clean_set(Z, cfg, first)
     report = checking_step(Z, cs.clean, cfg.alpha0)
 
@@ -351,3 +356,25 @@ def min_multiround_detect(Z: InfluenceMatrix, cfg: MipConfig, first: tuple) -> D
         rounds_used=round_no,
         hit_iteration_cap=hits.size > 0,  # the last round still rejected
     )
+
+
+def him_scores(Z: InfluenceMatrix) -> np.ndarray:
+    """Leave-one-out statistics n^2 * D_k = p^{-1} || Z_k - mean of the other rows ||^2.
+
+    That is the checking statistic with the whole sample as the clean set.
+    """
+    if Z.n < 3:
+        raise ValueError("need at least 3 observations")
+    everyone = np.arange(Z.n, dtype=np.int64)
+    return _checking_stats(Z, everyone, everyone)
+
+
+def him_detect(Z: InfluenceMatrix, alpha0: float = 0.05) -> DetectionReport:
+    """BH selection at alpha0 over the chi-square(1) leave-one-out p-values."""
+    stats = him_scores(Z)
+    pvals = chi2_1_sf_vec(stats)
+    records = report_records(
+        Z.n, bh_select(pvals, alpha0).rejected, p_value=pvals, statistic=stats
+    )
+    config = {"alpha0": alpha0, "estimator": Z.mode.value}
+    return DetectionReport(method="him", records=records, config=config, rounds_used=1)

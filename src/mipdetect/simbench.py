@@ -19,8 +19,9 @@ from enum import Enum
 
 import numpy as np
 
-from .him import him_detect
-from .mip import MipConfig, first_sweep, max_detect, min_multiround_detect, mip_detect
+from .mip import (MipConfig, first_sweep, him_detect, max_detect, min_max_checking,
+                  min_multiround_detect)
+from .mip import mip_detect  # unused here: the traced benchmark wraps it by name
 from .robust_stats import Dataset, standardize
 from .subsample import _one_blas_thread
 
@@ -377,16 +378,16 @@ def _rep_seeds(spec_seed: int, rep: int) -> tuple[int, int]:
     return int(state[0]), int(state[1])
 
 
-# name -> that method's flags on one rep, from (data, rep config, Z, first);
-# Z() and first() build the rep's standardized data and first sweep on first
+# name -> that method's flags on one rep, from (rep config, Z, first); Z()
+# and first() build the rep's standardized data and first sweep on first
 # use. Each entry looks its detector up when called, so a detector replaced
 # on this module is the one that runs.
 METHODS = {
-    "MIP": lambda d, cfg, Z, first: mip_detect(d, cfg).flagged(),
-    "HIM": lambda d, cfg, Z, first: him_detect(Z(), cfg.alpha0).flagged(),
-    "MaxOnly": lambda d, cfg, Z, first: max_detect(Z(), cfg, first()).flagged(),
-    "MinMultiRound": lambda d, cfg, Z, first: min_multiround_detect(Z(), cfg, first()).flagged(),
-    "Full": lambda d, cfg, Z, first: np.empty(0, dtype=np.int64),
+    "MIP": lambda cfg, Z, first: min_max_checking(Z(), cfg, first()).flagged(),
+    "HIM": lambda cfg, Z, first: him_detect(Z(), cfg.alpha0).flagged(),
+    "MaxOnly": lambda cfg, Z, first: max_detect(Z(), cfg, first()).flagged(),
+    "MinMultiRound": lambda cfg, Z, first: min_multiround_detect(Z(), cfg, first()).flagged(),
+    "Full": lambda cfg, Z, first: np.empty(0, dtype=np.int64),
 }
 
 
@@ -430,7 +431,7 @@ def run_experiment(
             fits: dict[bytes, np.ndarray] = {}  # lasso_fit's beta by kept rows
             for name in methods:
                 try:
-                    flags = METHODS[name](labeled.data, rep_cfg, Z, first)
+                    flags = METHODS[name](rep_cfg, Z, first)
                     rows[name].append(_score(labeled, name, flags, fits if with_fit else None))
                 except Exception as e:
                     log.warning("rep %d of %s failed for %s: %s", rep, spec.kind.value, name, e)

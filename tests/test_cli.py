@@ -21,11 +21,11 @@ from mipdetect import __version__
 from mipdetect.chi2_fdr import chi2_1_sf_vec, log10_pvalues
 from mipdetect import cli
 from mipdetect.cli import _add_mip_opts, _cell, build_parser, load_dataset, main
-from mipdetect.him import him_detect
 from mipdetect.mip import (
     MipConfig,
     checking_statistics_all,
     first_sweep,
+    him_detect,
     max_detect,
     min_multiround_detect,
     mip_detect,
@@ -721,6 +721,53 @@ def test_piped_input_is_parsed_like_a_file(tmp_path):
         os.close(r)
     assert digest == want_digest
     assert d.y.tobytes() == want_d.y.tobytes() and d.X.tobytes() == want_d.X.tobytes()
+
+
+# What a parse-agreement mutation inserts: Unicode and control spaces, line
+# breaks that only str.splitlines splits on, a BOM, digit separators, foreign
+# digits, a delimiter or line break (ragged rows) and non-finite words.
+CSV_INSERTS = [
+    " ", "\t", "\u00a0", "\u2003", "\u3000", "\x1c", "\x1d", "\x1e", "\x1f", "\x85",
+    "\u2028", "\x0b", "\x0c", "\r", "\ufeff", "_", "1_0", "\u0663", "\uff17", "\u096a",
+    "nan", "-inf", "1e999", ",", "\n", "e", "-", ".",
+]
+
+
+def mutated_csv(rng) -> str:
+    """A small numeric CSV, maybe with a header, with one or two CSV_INSERTS or deletions."""
+    rows, cols = int(rng.integers(1, 6)), int(rng.integers(2, 5))
+    values = np.round(rng.standard_normal((rows, cols)) * 10.0, int(rng.integers(0, 4)))
+    fmt = ("{!r}", "{:g}", "{:.2e}")[int(rng.integers(3))]
+    lines = [",".join(fmt.format(float(v)) for v in row) for row in values]
+    if rng.random() < 0.5:
+        lines.insert(0, ",".join(f"x{j}" for j in range(cols)))
+    text = "\n".join(lines) + "\n" * int(rng.integers(2))
+    for _ in range(int(rng.integers(1, 3))):
+        at = int(rng.integers(len(text) + 1))
+        if rng.random() < 0.2:
+            text = text[:at] + text[at + 1 :]
+        else:
+            text = text[:at] + CSV_INSERTS[int(rng.integers(len(CSV_INSERTS)))] + text[at:]
+    return text
+
+
+def test_bulk_parse_agrees_with_the_per_cell_parse():
+    # whenever the one-pass parse takes a file, the rescan would read it the same
+    rng = np.random.default_rng(27)
+    taken = 0
+    for trial in range(3000):
+        text = mutated_csv(rng)
+        raw = text.encode("utf-8")
+        mode = ("auto", "yes", "no")[trial % 3]
+        try:
+            data, names, digest = cli._parse_bulk(io.BytesIO(raw), ",", mode)
+        except Exception:
+            continue
+        want, want_names, want_digest = cli._parse_cells(raw, "m.csv", ",", mode)
+        assert (data.shape, data.tobytes()) == (want.shape, want.tobytes()), (text, mode)
+        assert (names, digest) == (want_names, want_digest), (text, mode)
+        taken += 1
+    assert taken >= 300  # enough mutants reach the bulk parse's result to mean something
 
 
 def test_ingestion_memory_is_bounded(tmp_path):

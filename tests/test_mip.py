@@ -290,6 +290,12 @@ def test_checking_validates_clean_set():
         checking_step(Z, [-1])
 
 
+@pytest.mark.parametrize("clean", [np.arange(5), np.arange(3)], ids=["no_suspects", "suspects"])
+def test_checking_validates_alpha0_whatever_the_clean_set(clean):
+    with pytest.raises(ValueError, match="alpha0 must be in"):
+        checking_step(influence_from(np.arange(20.0).reshape(5, 4)), clean, alpha0=5.0)
+
+
 def test_checking_with_no_suspects_flags_nothing():
     Z = influence_from(np.arange(20.0).reshape(5, 4))
     report = checking_step(Z, np.arange(5))
@@ -304,8 +310,8 @@ def test_checking_against_whole_sample_recovers_leave_one_out():
     Z = standardize(d, EstimatorMode.SAMPLE)
     loo = him_scores(Z)
 
-    everywhere = checking_statistics_all(Z, np.arange(15))
-    assert np.max(np.abs(everywhere - loo)) <= 1e-12
+    # the leave-one-out statistic is this one, run by the same code
+    assert np.array_equal(checking_statistics_all(Z, np.arange(15)), loo)
 
     for i in range(15):
         rest = np.delete(np.arange(15), i)
@@ -479,6 +485,44 @@ def test_min_multiround_false_positive_bound(minmulti_rows):
     bound = 0.05 / 0.95 + 0.03
     for mu in (6.0, 8.0):
         assert minmulti_rows[("MinMultiRound", mu)].fpr_inf <= bound
+
+
+# ---------------------------------------------------------------------------
+# invariances
+# ---------------------------------------------------------------------------
+
+# Exact negation and power-of-two scaling leave every product in Z Z^T, and so
+# every bit of a report, unchanged.
+TRANSFORMS = {
+    "negated_response": lambda y, X: (-y, X),
+    "every_third_column_negated": lambda y, X: (y, X * np.resize([1.0, 1.0, -1.0], X.shape[1])),
+    "power_of_two_scales": lambda y, X: (0.5 * y, 4.0 * X),
+}
+INVARIANT_DETECTORS = {
+    "mip": lambda d: mip_detect(d, MipConfig(m=30, seed=2)),
+    "mip_shared": lambda d: mip_detect(d, MipConfig(m=30, seed=2, shared_subsets=True)),
+    "him": lambda d: him_detect(standardize(d)),
+}
+
+
+@pytest.fixture(scope="module")
+def invariance_base():
+    """An Example 2 draw and each detector's records on it."""
+    spec = ScenarioSpec(kind=ScenarioKind.EXAMPLE2, mu=8.0, n=60, p=200, n_inf=6, seed=3)
+    d = gen_scenario(spec).data
+    return d, {name: detect(d).records for name, detect in INVARIANT_DETECTORS.items()}
+
+
+@pytest.mark.parametrize("detector", sorted(INVARIANT_DETECTORS))
+@pytest.mark.parametrize("transform", sorted(TRANSFORMS))
+def test_report_bytes_survive_sign_flips_and_power_of_two_scales(
+    invariance_base, transform, detector
+):
+    d, want = invariance_base
+    y, X = TRANSFORMS[transform](d.y, d.X)
+    got = INVARIANT_DETECTORS[detector](Dataset(y=y, X=X)).records
+    assert want[detector].influential.any()
+    assert got.tobytes() == want[detector].tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from mipdetect.subsample import draw_subsets, subset_size
 
 from ground_truth import chi2_1_quantile, group_statistic, lasso_path_by_solve, oracle_decomposition
 
+import mipdetect.mip
 import mipdetect.simbench as simbench
 
 
@@ -542,16 +543,16 @@ def test_run_experiment_validates_inputs():
     [
         ("him_detect", ["MIP", "HIM"], ["HIM"]),
         # the method table looks each detector up when a rep runs
-        ("mip_detect", ["MIP", "HIM"], ["MIP"]),
+        ("min_max_checking", ["MIP", "HIM"], ["MIP"]),
         ("max_detect", ["MIP", "MaxOnly", "MinMultiRound"], ["MaxOnly"]),
         ("min_multiround_detect", ["MIP", "MaxOnly", "MinMultiRound"], ["MinMultiRound"]),
-        # every method that reads the rep's Z is counted out; MIP and Full still run
+        # every method that reads the rep's Z is counted out; Full still runs
         ("standardize", ["MIP", "HIM", "MaxOnly", "MinMultiRound", "Full"],
-         ["HIM", "MaxOnly", "MinMultiRound"]),
+         ["MIP", "HIM", "MaxOnly", "MinMultiRound"]),
         # a refit that raises is not stored, so methods sharing a kept set each fail
         ("lasso_fit", ["MIP", "HIM", "Full"], ["MIP", "HIM", "Full"]),
     ],
-    ids=["him_detect", "mip_detect", "max_detect", "min_multiround_detect", "standardize",
+    ids=["him_detect", "min_max_checking", "max_detect", "min_multiround_detect", "standardize",
          "lasso_fit"],
 )
 def test_run_experiment_counts_out_failing_reps(monkeypatch, caplog, broken, methods, failing):
@@ -577,13 +578,25 @@ def test_run_experiment_counts_out_failing_reps(monkeypatch, caplog, broken, met
     ]
 
 
-def test_run_experiment_sweeps_the_first_working_set_once_per_rep(sweep_calls):
+def test_run_experiment_sweeps_the_first_working_set_once_per_rep(sweep_calls, monkeypatch):
+    standardized = []
+    exact = simbench.standardize
+
+    def counting(d, mode):
+        standardized.append(d.n)
+        return exact(d, mode)
+
+    monkeypatch.setattr(simbench, "standardize", counting)
+    monkeypatch.setattr(mipdetect.mip, "standardize", counting)
     spec = ScenarioSpec(kind=ScenarioKind.EXAMPLE1, mu=6.0, n=60, p=150, n_inf=6, seed=7)
-    run_experiment([spec], ["MaxOnly", "MinMultiRound"], 2, MipConfig(m=30, seed=0))
+    methods = ["MIP", "HIM", "MaxOnly", "MinMultiRound"]
+    rows = run_experiment([spec], methods, 2, MipConfig(m=30, seed=0))
+    assert [r.reps for r in rows] == [2] * 4
     full = np.arange(60, dtype=np.int64).tobytes()
     first = [count for (_, round_id, active), count in sweep_calls.items()
              if round_id == 0 and active == full]
     assert first == [1, 1]  # one per rep, each on its own detector seed
+    assert standardized == [60, 60]  # and one standardization per rep
 
 
 def test_run_experiment_refits_each_kept_set_once(monkeypatch):
@@ -606,7 +619,7 @@ def test_run_experiment_refits_each_kept_set_once(monkeypatch):
 @pytest.mark.parametrize("kept", [4, 5])
 def test_refit_needs_a_row_per_fold(monkeypatch, kept):
     # fewer kept rows than lasso folds: the fit columns are missing, the detection ones stay
-    monkeypatch.setitem(simbench.METHODS, "HIM", lambda d, cfg, Z, first: np.arange(kept, d.n))
+    monkeypatch.setitem(simbench.METHODS, "HIM", lambda cfg, Z, first: np.arange(kept, 30))
     spec = ScenarioSpec(kind=ScenarioKind.EXAMPLE1, mu=6.0, n=30, p=40, n_inf=2, seed=0)
     (row,) = run_experiment([spec], ["HIM"], 1, with_fit=True)
     assert (row.reps, row.tpr_inf, row.fpr_inf) == (1, 0.0, (30 - kept) / 28)
