@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import codecs
 import hashlib
-import io
 import itertools
 import json
 import math
@@ -54,10 +54,10 @@ class CliError(Exception):
 # ---------------------------------------------------------------------------
 
 
-# Characters that end a line for str.splitlines, and so for the per-cell
-# parser, but not for universal newlines, plus U+001F, which np.loadtxt strips
-# around a number as if it were a space while float() refuses it.
-_BULK_REFUSES = "\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029"
+_BLOCK_BYTES = 1 << 16  # bytes read, hashed and decoded at a time
+_BATCH_CHARS = 1 << 20  # characters of lines handed to one np.loadtxt call
+_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # str.splitlines' line breaks besides "\n"
+_BULK_REFUSES = "\x1f"  # np.loadtxt strips it around a number like a space; float() refuses it
 
 
 def _is_number(cell: str) -> bool:
@@ -75,165 +75,153 @@ def _header_names(first: list[str], header_mode: str) -> list[str] | None:
     return [c.strip() for c in first] if header_mode == "yes" else None
 
 
-class _HashingReader(io.RawIOBase):
-    """Binary reads from ``fh`` that feed every byte read to a SHA-256."""
+def _lines(fh, path: str, sha256):
+    """The non-blank lines of binary stream ``fh``, split where str.splitlines splits.
 
-    def __init__(self, fh):
-        self.fh = fh
-        self.sha256 = hashlib.sha256()
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buf) -> int:
-        n = self.fh.readinto(buf)
-        self.sha256.update(memoryview(buf)[:n])
-        return n
-
-
-def _nonblank_lines(text):
-    """The lines of ``text`` that are not blank; raises on a line that needs the rescan."""
-    for line in text:
-        if line.isspace():
-            continue
-        if any(c in line for c in _BULK_REFUSES):
-            raise ValueError("a line the per-cell parser must split")
-        yield line
-
-
-def _parse_bulk(fh, delimiter: str, header_mode: str):
-    """(matrix, header names or None, sha256) of binary stream ``fh`` in one np.loadtxt pass.
-
-    Raises on anything the per-cell parser must decide: unreadable or
-    invalid input, a row of another width, a non-finite cell.
+    A leading byte-order mark is dropped. Each block read goes to ``sha256``
+    and a strict UTF-8 decoder; only the piece after its last line break is
+    carried on. A CR LF pair split across blocks leaves a blank line, dropped.
     """
-    raw = _HashingReader(fh)
-    text = io.TextIOWrapper(io.BufferedReader(raw, 1 << 16), encoding="utf-8-sig")
-    lines = _nonblank_lines(text)
-    first = next(lines)
-    cells = first.removesuffix("\n").split(delimiter)
-    names = _header_names(cells, header_mode)
-    if names is not None:
-        first = next(lines)
-    data = np.loadtxt(
-        itertools.chain([first], lines), delimiter=delimiter, comments=None, ndmin=2, dtype=np.float64
-    )
-    if len(cells) < 2 or data.shape[1] != len(cells) or not np.isfinite(data).all():
-        raise ValueError("a table the per-cell parser must check")
-    return data, names, raw.sha256.hexdigest()
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    read, parts, bom, block = 0, [], True, None  # parts: the pieces of the line not yet ended
+    while block != b"":  # an empty read is the end of the input
+        block = fh.read(_BLOCK_BYTES)
+        sha256.update(block)
+        try:
+            chunk = decoder.decode(block, final=not block)
+        except UnicodeDecodeError as e:  # e.start counts from the decoder's pending bytes
+            at = read - len(decoder.getstate()[0]) + e.start + 1
+            raise CliError(2, f"{path}: invalid UTF-8 at byte {at}") from None
+        read += len(block)
+        if bom and chunk:
+            chunk, bom = chunk.removeprefix("\ufeff"), False
+        if not block:  # the end of the input ends the last line
+            lines = ["".join(parts)]
+        elif any(c in chunk for c in _BREAKS):
+            text = "".join([*parts, chunk])
+            lines = text.splitlines()
+            parts = [] if text[-1:] in "\n" + _BREAKS else [lines.pop()]
+        else:
+            *lines, tail = chunk.split("\n")
+            if lines:
+                lines[0] = "".join([*parts, lines[0]])
+                parts = []
+            parts.append(tail)
+        yield from (line for line in lines if line and not line.isspace())
 
 
-def _parse_cells(raw: bytes, path: str, delimiter: str, header_mode: str):
-    """(matrix, header names or None, sha256) of ``raw``, parsing one cell at a time with float().
+def _batches(lines):
+    """Lists of consecutive ``lines`` of about _BATCH_CHARS characters each."""
+    batch, chars = [], 0
+    for line in lines:
+        batch.append(line)
+        chars += len(line)
+        if chars >= _BATCH_CHARS:
+            yield batch
+            batch, chars = [], 0
+    if batch:
+        yield batch
 
-    Accepts and rejects exactly what the CLI contract does, and names the
-    first problem by its position (CliError(2)).
+
+def _read_batch(batch: list[str], delimiter: str, width: int, row: int):
+    """(matrix, message naming its first non-finite cell or None) of lines from CSV row ``row`` on.
+
+    np.loadtxt reads the batch; one it refuses, or reads with another width,
+    a non-finite cell or a cell float() may read differently, is read again
+    cell by cell with float(), whose first bad row or cell raises CliError(2).
     """
-    digest = hashlib.sha256(raw).hexdigest()
-
-    try:
-        lines = [
-            line
-            for line in raw.decode("utf-8").removeprefix("\ufeff").splitlines()
-            if line.strip() != ""
-        ]
-    except UnicodeDecodeError as e:
-        raise CliError(2, f"{path}: invalid UTF-8 at byte {e.start + 1}") from None
-    if not lines:
-        raise CliError(2, "input has no rows")
-
-    first = lines[0].split(delimiter)
-    names = _header_names(first, header_mode)
-    body = lines[1:] if names is not None else lines
-    if not body:
-        raise CliError(2, "input has a header but no data rows")
-
-    width = len(first)
-    if width < 2:
-        raise CliError(2, "need a response column and at least one predictor; "
-                          f"the first row has one column when split on {delimiter!r}")
-    data = np.empty((len(body), width))
-    offset = 2 if names is not None else 1
-    for i, row in enumerate(line.split(delimiter) for line in body):  # one row's cells at a time
-        if len(row) != width:
-            raise CliError(
-                2, f"row {i + offset}: expected {width} columns, found {len(row)}"
-            )
-        for j, cell in enumerate(row):
+    if not any(_BULK_REFUSES in line for line in batch):
+        try:
+            data = np.loadtxt(batch, delimiter=delimiter, comments=None, ndmin=2, dtype=np.float64)
+            if data.shape[1] == width and np.isfinite(data).all():
+                return data, None
+        except (ValueError, TypeError):  # a cell, a row or a delimiter np.loadtxt refuses
+            pass
+    data, non_finite = np.empty((len(batch), width)), None
+    for i, line in enumerate(batch):
+        cells = line.split(delimiter)
+        if len(cells) != width:
+            raise CliError(2, f"row {row + i}: expected {width} columns, found {len(cells)}")
+        for j, cell in enumerate(cells):
             try:
-                data[i, j] = float(cell)
+                data[i, j] = value = float(cell)
             except ValueError:
-                raise CliError(
-                    2,
-                    f"row {i + offset}, column {j + 1}: "
-                    f"could not parse {cell!r} as a number",
-                ) from None
-    finite = np.isfinite(data)
-    if not finite.all():
-        i, j = np.unravel_index(np.argmin(finite), data.shape)
-        cell = body[i].split(delimiter)[j]
-        raise CliError(2, f"row {i + offset}, column {j + 1}: non-finite value {cell!r}")
-    return data, names, digest
+                raise CliError(2, f"row {row + i}, column {j + 1}: "
+                                  f"could not parse {cell!r} as a number") from None
+            if not (non_finite or math.isfinite(value)):
+                non_finite = f"row {row + i}, column {j + 1}: non-finite value {cell!r}"
+    return data, non_finite
+
+
+def _parse(fh, path: str, delimiter: str, header_mode: str):
+    """(matrix, header names or None, sha256) of binary stream ``fh``, read in one pass.
+
+    Problems raise CliError(2) in this order: invalid UTF-8 anywhere, then
+    the first structural or cell problem in file order, then the first
+    non-finite cell.
+    """
+    sha256 = hashlib.sha256()
+    lines = _lines(fh, path, sha256)
+    try:
+        first = next(lines, None)
+        if first is None:
+            raise CliError(2, "input has no rows")
+        cells = first.split(delimiter)
+        names = _header_names(cells, header_mode)
+        if names is not None:
+            first = next(lines, None)
+            if first is None:
+                raise CliError(2, "input has a header but no data rows")
+        if len(cells) < 2:
+            raise CliError(2, "need a response column and at least one predictor; "
+                              f"the first row has one column when split on {delimiter!r}")
+        blocks, non_finite, row = [], None, 2 if names is not None else 1
+        for batch in _batches(itertools.chain([first], lines)):
+            data, bad = _read_batch(batch, delimiter, len(cells), row)
+            blocks.append(data)
+            non_finite = non_finite or bad
+            row += len(batch)
+        if non_finite:
+            raise CliError(2, non_finite)
+    except CliError:
+        for _ in lines:  # invalid UTF-8 anywhere in the input is reported first
+            pass
+        raise
+    return np.concatenate(blocks), names, sha256.hexdigest()
 
 
 def load_dataset(path: str, delimiter: str, header_mode: str, response_col: str):
     """Parse a rectangular numeric CSV into a Dataset.
 
     Returns (dataset, sha256-of-input-bytes, zero-based CSV column of the
-    response). A leading UTF-8 byte-order mark is skipped. Parse problems
+    response). A leading UTF-8 byte-order mark is skipped, lines end where
+    str.splitlines ends them, and blank lines are skipped. Parse problems
     and non-finite cells (nan, inf, or a value that overflows) raise
-    CliError(2) with row/column positions (1-based, header included;
-    the first such cell in row-major order), or the 1-based byte offset
-    of the first byte that is not valid UTF-8. A table with fewer than 4
-    rows raises ValueError from Dataset, which also exits 2.
-
-    The file is read once as a stream: each block of bytes goes to the
-    SHA-256 as it is read, is decoded as strict UTF-8, and the rows after
-    the first non-blank line (which settles ``header_mode="auto"``) are
-    parsed by one np.loadtxt call straight into the final matrix. Ingestion
-    then holds about the matrix plus a few blocks of text, not the file.
-    If that bulk parse raises, or meets a line break or cell it would read
-    differently from float(), the file is parsed again one cell at a time;
-    that rescan alone accepts or rejects such input and reports the
-    position of its first problem. A pipe, which cannot be read twice, is
-    read into memory first.
+    CliError(2) with 1-based row/column positions (header included), or the
+    1-based byte offset of the first byte that is not valid UTF-8. A table
+    with fewer than 4 rows raises ValueError from Dataset, which also exits 2.
+    The input, a pipe included, is read once as a stream by ``_parse``; it
+    holds about twice the matrix and a megabyte batch of lines, never the file.
     """
     if not delimiter:
         raise CliError(2, "--delimiter must be a non-empty string")
     try:
-        with open(path, "rb", buffering=0) as fh:
-            # a pipe cannot be read twice, so its bytes are kept for the rescan
-            src = fh if fh.seekable() else io.BytesIO(fh.read())
-            try:
-                data, names, digest = _parse_bulk(src, delimiter, header_mode)
-            except Exception:  # the rescan decides every input the bulk parse does not take
-                src.seek(0)
-                data, names, digest = _parse_cells(src.read(), path, delimiter, header_mode)
+        with open(path, "rb") as fh:
+            data, names, digest = _parse(fh, path, delimiter, header_mode)
     except OSError as e:
         raise CliError(2, f"cannot read {path}: {e}") from e
-
-    n, width = data.shape
+    width = data.shape[1]
     if names and response_col in names:
         rcol = names.index(response_col)
     else:
         try:
             rcol = int(response_col) - 1
         except ValueError:
-            raise CliError(
-                2, f"response column {response_col!r} is neither a header name nor a position"
-            ) from None
+            raise CliError(2, f"response column {response_col!r} "
+                              "is neither a header name nor a position") from None
         if not 0 <= rcol < width:
             raise CliError(2, f"response column {response_col} out of range 1..{width}")
-
-    # Take y out, then shift the columns right of it one place left, a block
-    # of rows at a time so that the overlapping copy stays small; X views
-    # the first width - 1 columns of the parsed matrix.
-    y = data[:, rcol].copy()
-    step = max(1, (1 << 20) // data[0].nbytes)
-    for start in range(0, n, step):
-        block = data[start : start + step]
-        block[:, rcol:-1] = block[:, rcol + 1 :]
-    return Dataset(y=y, X=data[:, :-1]), digest, rcol
+    return Dataset(y=data[:, rcol].copy(), X=np.delete(data, rcol, axis=1)), digest, rcol
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ whole sample.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -24,6 +25,15 @@ from .subsample import _scores, min_max_sweep, subset_ids, subset_size
 
 class DegenerateShrinkageError(RuntimeError):
     """The working set shrank too far to keep subsampling."""
+
+
+def _integers(obj, *names) -> None:
+    """Set each named field of frozen dataclass ``obj`` to a plain int, or raise ValueError."""
+    for name in names:
+        try:
+            object.__setattr__(obj, name, operator.index(getattr(obj, name)))
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, not {getattr(obj, name)!r}") from None
 
 
 @dataclass(frozen=True)
@@ -48,6 +58,7 @@ class MipConfig:
     shared_subsets: bool = False
 
     def __post_init__(self):
+        _integers(self, "m", "max_rounds", "seed", *(("l0",) if self.l0 is not None else ()))
         if self.m < 1:
             raise ValueError("m must be at least 1")
         subset_ids(self.m, self.shared_subsets)  # every subset id must fit the stream key

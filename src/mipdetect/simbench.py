@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .mip import (MipConfig, first_sweep, him_detect, max_detect, min_max_checking,
+from .mip import (MipConfig, _integers, first_sweep, him_detect, max_detect, min_max_checking,
                   min_multiround_detect)
 from .mip import mip_detect  # unused here: the traced benchmark wraps it by name
 from .robust_stats import Dataset, standardize
@@ -49,6 +49,7 @@ class ScenarioSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", ScenarioKind(self.kind))
+        _integers(self, "n", "p", "n_inf", "seed")
         if self.n < 4:
             raise ValueError("n must be at least 4")
         if self.p < 1:

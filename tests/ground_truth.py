@@ -7,13 +7,24 @@ The rest are direct, slow recomputations that the package's fast paths
 are checked against, and which no product path calls.
 """
 
+import hashlib
 import math
 
 import numpy as np
 
+from mipdetect.cli import CliError, _header_names
 from mipdetect.robust_stats import MAD_SCALE_FACTOR, EstimatorMode, InfluenceMatrix
 from mipdetect.simbench import _SIGMA, ConvergenceError
 from mipdetect.subsample import _stream_key
+
+
+# Exact negation and power-of-two scaling leave every product in Z Z^T, and so
+# every bit of a report, unchanged.
+TRANSFORMS = {
+    "negated_response": lambda y, X: (-y, X),
+    "every_third_column_negated": lambda y, X: (y, X * np.resize([1.0, 1.0, -1.0], X.shape[1])),
+    "power_of_two_scales": lambda y, X: (0.5 * y, 4.0 * X),
+}
 
 
 def influence_from(Z) -> InfluenceMatrix:
@@ -251,3 +262,56 @@ def lasso_path_by_solve(X, y, lambdas) -> np.ndarray:
             active.append(j)
             s = np.append(s, _SIGMA[row])
     raise ConvergenceError("lasso path did not reach the end of the grid")
+
+
+def _parse_cells(raw: bytes, path: str, delimiter: str, header_mode: str):
+    """(matrix, header names or None, sha256) of ``raw``, parsing one cell at a time with float().
+
+    Accepts and rejects exactly what the CLI contract does, and names the
+    first problem by its position (CliError(2)).
+    """
+    digest = hashlib.sha256(raw).hexdigest()
+
+    try:
+        lines = [
+            line
+            for line in raw.decode("utf-8").removeprefix("\ufeff").splitlines()
+            if line.strip() != ""
+        ]
+    except UnicodeDecodeError as e:
+        raise CliError(2, f"{path}: invalid UTF-8 at byte {e.start + 1}") from None
+    if not lines:
+        raise CliError(2, "input has no rows")
+
+    first = lines[0].split(delimiter)
+    names = _header_names(first, header_mode)
+    body = lines[1:] if names is not None else lines
+    if not body:
+        raise CliError(2, "input has a header but no data rows")
+
+    width = len(first)
+    if width < 2:
+        raise CliError(2, "need a response column and at least one predictor; "
+                          f"the first row has one column when split on {delimiter!r}")
+    data = np.empty((len(body), width))
+    offset = 2 if names is not None else 1
+    for i, row in enumerate(line.split(delimiter) for line in body):  # one row's cells at a time
+        if len(row) != width:
+            raise CliError(
+                2, f"row {i + offset}: expected {width} columns, found {len(row)}"
+            )
+        for j, cell in enumerate(row):
+            try:
+                data[i, j] = float(cell)
+            except ValueError:
+                raise CliError(
+                    2,
+                    f"row {i + offset}, column {j + 1}: "
+                    f"could not parse {cell!r} as a number",
+                ) from None
+    finite = np.isfinite(data)
+    if not finite.all():
+        i, j = np.unravel_index(np.argmin(finite), data.shape)
+        cell = body[i].split(delimiter)[j]
+        raise CliError(2, f"row {i + offset}, column {j + 1}: non-finite value {cell!r}")
+    return data, names, digest

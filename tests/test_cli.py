@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -32,6 +33,8 @@ from mipdetect.mip import (
 )
 from mipdetect.robust_stats import Dataset, EstimatorMode, standardize
 from mipdetect.simbench import METHODS, ScenarioKind, ScenarioSpec, gen_scenario
+
+from ground_truth import TRANSFORMS, _parse_cells
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -710,7 +713,7 @@ def test_csv_dialects_agree(tmp_path, small_csv):
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 def test_piped_input_is_parsed_like_a_file(tmp_path):
-    text = b"y,x1\n1,2\n \n3,1_0\n5,6\n7,9\n"  # the blank line and 1_0 need the rescan
+    text = b"y,x1\n1,2\n \n3,1_0\n5,6\n7,9\n"  # a blank line, and a 1_0 its batch re-reads
     want_d, want_digest, _ = load_dataset(str(write_bytes(tmp_path, "p.csv", text)), ",", "auto", "1")
     r, w = os.pipe()
     os.write(w, text)
@@ -751,40 +754,135 @@ def mutated_csv(rng) -> str:
     return text
 
 
-def test_bulk_parse_agrees_with_the_per_cell_parse():
-    # whenever the one-pass parse takes a file, the rescan would read it the same
+def parse_outcome(parse):
+    """(matrix shape and bytes, names, digest) of a parse, or the message of its CliError."""
+    try:
+        data, names, digest = parse()
+    except cli.CliError as e:
+        return e.message
+    return data.shape, data.tobytes(), names, digest
+
+
+@pytest.mark.parametrize(
+    "batch_chars, block_bytes",
+    # 8-character batches put a problem of each kind in another batch than the
+    # next; 5-byte blocks split characters, CR LF pairs and the BOM
+    [(cli._BATCH_CHARS, cli._BLOCK_BYTES), (8, 5)],
+    ids=["default_batches", "tiny_batches"],
+)
+def test_parse_agrees_with_the_reference_parser(monkeypatch, batch_chars, block_bytes):
+    monkeypatch.setattr(cli, "_BATCH_CHARS", batch_chars)
+    monkeypatch.setattr(cli, "_BLOCK_BYTES", block_bytes)
     rng = np.random.default_rng(27)
-    taken = 0
-    for trial in range(3000):
-        text = mutated_csv(rng)
-        raw = text.encode("utf-8")
-        mode = ("auto", "yes", "no")[trial % 3]
-        try:
-            data, names, digest = cli._parse_bulk(io.BytesIO(raw), ",", mode)
-        except Exception:
-            continue
-        want, want_names, want_digest = cli._parse_cells(raw, "m.csv", ",", mode)
-        assert (data.shape, data.tobytes()) == (want.shape, want.tobytes()), (text, mode)
-        assert (names, digest) == (want_names, want_digest), (text, mode)
-        taken += 1
-    assert taken >= 300  # enough mutants reach the bulk parse's result to mean something
+    parsed = 0
+    for _ in range(3000):
+        raw = mutated_csv(rng).encode("utf-8")
+        if rng.random() < 0.05:  # a byte that is never valid UTF-8
+            at = int(rng.integers(len(raw) + 1))
+            raw = raw[:at] + b"\xff" + raw[at:]
+        for mode in ("auto", "yes", "no"):
+            got = parse_outcome(lambda: cli._parse(io.BytesIO(raw), "m.csv", ",", mode))
+            assert got == parse_outcome(lambda: _parse_cells(raw, "m.csv", ",", mode)), (raw, mode)
+            parsed += not isinstance(got, str)
+    assert 900 <= parsed <= 8100  # enough mutants parse, and enough fail, to mean something
 
 
-def test_ingestion_memory_is_bounded(tmp_path):
-    """Parsing holds about the matrix plus a few blocks of text, not the file."""
-    rng = np.random.default_rng(3)
-    data = rng.standard_normal((400, 1001))
-    path = tmp_path / "big.csv"
-    path.write_text("".join(",".join(map(repr, row)) + "\n" for row in data.tolist()))
-    assert path.stat().st_size > 7_500_000
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b"\xef\xbb\xbfy,x\xe2\x82\xac\r\n1,2\r\n3,4\r\n",  # BOM, a 3-byte character, CR LF
+        b"y,x1\n1,\xe2\x82\xff\n3,4\n",  # a broken 3-byte character
+        b"y,x1\n1,2\n3,4\xe2\x82",  # a character cut off by the end of the input
+    ],
+    ids=["bom_crlf", "broken_character", "cut_character"],
+)
+def test_parse_reads_alike_at_every_block_size(monkeypatch, raw):
+    want = parse_outcome(lambda: _parse_cells(raw, "m.csv", ",", "auto"))
+    for block_bytes in range(1, len(raw) + 1):
+        monkeypatch.setattr(cli, "_BLOCK_BYTES", block_bytes)
+        assert parse_outcome(lambda: cli._parse(io.BytesIO(raw), "m.csv", ",", "auto")) == want
+
+
+@pytest.fixture(scope="module")
+def big_table():
+    """A 400 x 1001 matrix and its CSV lines, about 8 MB of text."""
+    data = np.random.default_rng(3).standard_normal((400, 1001))
+    return data, [",".join(map(repr, row)) for row in data.tolist()]
+
+
+@pytest.mark.parametrize("case", ["lf", "crlf", "cr", "1_0", "pipe", "pipe_1_0"])
+def test_ingestion_memory_is_bounded(tmp_path, big_table, case):
+    """Parsing holds about twice the matrix plus a batch of text, never the file."""
+    data, rows = big_table[0].copy(), list(big_table[1])
+    if case.endswith("1_0"):  # a cell only float() reads: its batch is read again cell by cell
+        cells = rows[200].split(",")
+        cells[5], data[200, 5] = "1_0", 10.0
+        rows[200] = ",".join(cells)
+    eol = {"crlf": "\r\n", "cr": "\r"}.get(case, "\n")
+    raw = (eol.join(rows) + eol).encode()
+    assert len(raw) > 7_500_000
+    pipe = case.startswith("pipe")
+    if pipe:
+        if not os.path.isdir("/dev/fd"):
+            pytest.skip("needs /dev/fd")
+        r, w = os.pipe()
+
+        def feed():
+            view = memoryview(raw)
+            while view:
+                view = view[os.write(w, view) :]
+            os.close(w)
+
+        writer = threading.Thread(target=feed)
+        path = f"/dev/fd/{r}"
+    else:
+        path = write_bytes(tmp_path, "big.csv", raw)
     tracemalloc.start()
     try:
+        if pipe:
+            writer.start()
         d, _, _ = load_dataset(str(path), ",", "auto", "1")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+        if pipe:
+            writer.join()
+            os.close(r)
     assert d.X.tobytes() == data[:, 1:].tobytes()
     assert peak <= 3 * data.nbytes + 4_000_000, (peak, data.nbytes)
+
+
+# CSV transforms under which only detect's flagged set stays the same; under
+# TRANSFORMS its flags.csv, and its report.json but for the input digest, do.
+FLAG_EQUAL_TRANSFORMS = {
+    "shifted_predictors": lambda y, X: (y, X + 3.0),
+    "permuted_columns": lambda y, X: (y, X[:, np.random.default_rng(5).permutation(X.shape[1])]),
+}
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["private", "shared"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_detect_outputs_keep_their_invariances(tmp_path, seed, shared):
+    d = gen_scenario(ScenarioSpec(kind=ScenarioKind.EXAMPLE2, mu=8.0, n=60, p=200, n_inf=6, seed=seed)).data
+
+    def detect(tag, y, X):
+        """(report.json without its input digest, flags.csv) of detect on a CSV of (y, X)."""
+        path, report, flags = (tmp_path / f"{tag}{ext}" for ext in (".csv", ".json", ".flags.csv"))
+        write_csv(path, y, X)
+        argv = ["detect", path, "--m", 20, "--report", report, "--flags", flags]
+        code, err = run_cli(argv + ["--shared-subsets"] * shared)
+        assert code == 0, err
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        return report.read_text().replace(digest, ""), flags.read_bytes()
+
+    want_report, want_flags = detect("base", d.y, d.X)
+    want = flagged_indices(tmp_path / "base.flags.csv")
+    assert want
+    for name, transform in TRANSFORMS.items():
+        assert detect(name, *transform(d.y, d.X)) == (want_report, want_flags), name
+    for name, transform in FLAG_EQUAL_TRANSFORMS.items():
+        detect(name, *transform(d.y, d.X))
+        assert flagged_indices(tmp_path / f"{name}.flags.csv") == want, name
 
 
 def test_very_large_p(tmp_path):

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import inspect
+import json
 import sys
 import tracemalloc
 from pathlib import Path
@@ -32,7 +33,7 @@ from mipdetect import (
 from mipdetect.chi2_fdr import bh_select, chi2_1_sf_vec
 from mipdetect.subsample import _KEY_R_BITS, _stream_key, min_max_sweep, subset_size
 
-from ground_truth import influence_from, marginal_correlation
+from ground_truth import TRANSFORMS, influence_from, marginal_correlation
 
 
 def small_contaminated():
@@ -109,6 +110,27 @@ def test_config_bounds_m_by_the_subset_ids_the_stream_key_holds():
         with pytest.raises(ValueError, match=f"m = {kwargs['m']} needs {ids} subset ids"):
             min_max_sweep(influence_from(np.eye(4)), np.arange(4), kwargs["m"], 2, 0, 0,
                           shared=kwargs.get("shared_subsets", False))
+
+
+def test_integer_fields_become_plain_ints():
+    # a NumPy integer would reach report.json's config echo, which json cannot write
+    cfg = MipConfig(m=np.int32(20), l0=np.int64(2), max_rounds=np.uint8(5), seed=np.uint64(2**63 + 1))
+    assert [(type(v), v) for v in (cfg.m, cfg.l0, cfg.max_rounds, cfg.seed)] == [
+        (int, 20), (int, 2), (int, 5), (int, 2**63 + 1)
+    ]
+    assert json.loads(json.dumps(cfg.echo()))["seed"] == 2**63 + 1
+    spec = ScenarioSpec(kind=ScenarioKind.EXAMPLE1, n=np.int64(30), p=np.int16(40),
+                        n_inf=np.int8(2), seed=np.uint64(7))
+    assert [(type(v), v) for v in (spec.n, spec.p, spec.n_inf, spec.seed)] == [
+        (int, 30), (int, 40), (int, 2), (int, 7)
+    ]
+    # a float is refused, not truncated on use or echoed as given
+    for kwargs in ({"seed": 1.5}, {"m": 20.5}, {"l0": 2.0}, {"max_rounds": "3"}):
+        with pytest.raises(ValueError, match=f"{next(iter(kwargs))} must be an integer"):
+            MipConfig(**kwargs)
+    for kwargs in ({"n": 100.5}, {"p": 50.0}, {"n_inf": 1.0}, {"seed": 0.5}):
+        with pytest.raises(ValueError, match=f"{next(iter(kwargs))} must be an integer"):
+            ScenarioSpec(kind=ScenarioKind.EXAMPLE1, **kwargs)
 
 
 def test_config_accepts_c_equal_one():
@@ -491,13 +513,6 @@ def test_min_multiround_false_positive_bound(minmulti_rows):
 # invariances
 # ---------------------------------------------------------------------------
 
-# Exact negation and power-of-two scaling leave every product in Z Z^T, and so
-# every bit of a report, unchanged.
-TRANSFORMS = {
-    "negated_response": lambda y, X: (-y, X),
-    "every_third_column_negated": lambda y, X: (y, X * np.resize([1.0, 1.0, -1.0], X.shape[1])),
-    "power_of_two_scales": lambda y, X: (0.5 * y, 4.0 * X),
-}
 INVARIANT_DETECTORS = {
     "mip": lambda d: mip_detect(d, MipConfig(m=30, seed=2)),
     "mip_shared": lambda d: mip_detect(d, MipConfig(m=30, seed=2, shared_subsets=True)),
