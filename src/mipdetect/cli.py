@@ -10,6 +10,11 @@ stderr only.
 
 from __future__ import annotations
 
+if __name__ == "__main__":  # python -m mipdetect.cli: set the BLAS default before NumPy loads
+    from . import _quiet_blas_workers
+
+    _quiet_blas_workers()
+
 import argparse
 import dataclasses
 import codecs
@@ -58,6 +63,7 @@ _BLOCK_BYTES = 1 << 16  # bytes read, hashed and decoded at a time
 _BATCH_CHARS = 1 << 20  # characters of lines handed to one np.loadtxt call
 _BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # str.splitlines' line breaks besides "\n"
 _BULK_REFUSES = "\x1f"  # np.loadtxt strips it around a number like a space; float() refuses it
+_STAND_IN = "\x1e"  # a line break to str.splitlines, so in no line; np.loadtxt splits on it like ","
 
 
 def _is_number(cell: str) -> bool:
@@ -129,10 +135,17 @@ def _read_batch(batch: list[str], delimiter: str, width: int, row: int):
     np.loadtxt reads the batch; one it refuses, or reads with another width,
     a non-finite cell or a cell float() may read differently, is read again
     cell by cell with float(), whose first bad row or cell raises CliError(2).
+    np.loadtxt takes one-character delimiters only, so a longer one is
+    replaced by _STAND_IN first; that cuts where str.split cuts as long as
+    _STAND_IN is in neither the lines nor the delimiter.
     """
     if not any(_BULK_REFUSES in line for line in batch):
+        bulk, sep = batch, delimiter
+        if len(delimiter) > 1 and _STAND_IN not in delimiter:
+            if not any(_STAND_IN in line for line in batch):
+                bulk, sep = [line.replace(delimiter, _STAND_IN) for line in batch], _STAND_IN
         try:
-            data = np.loadtxt(batch, delimiter=delimiter, comments=None, ndmin=2, dtype=np.float64)
+            data = np.loadtxt(bulk, delimiter=sep, comments=None, ndmin=2, dtype=np.float64)
             if data.shape[1] == width and np.isfinite(data).all():
                 return data, None
         except (ValueError, TypeError):  # a cell, a row or a delimiter np.loadtxt refuses

@@ -26,6 +26,13 @@ TRANSFORMS = {
     "power_of_two_scales": lambda y, X: (0.5 * y, 4.0 * X),
 }
 
+# A shift and a column permutation change the products' roundoff, so only the
+# flagged set is expected to stay the same, on a fixed draw.
+FLAG_EQUAL_TRANSFORMS = {
+    "shifted_predictors": lambda y, X: (y, X + 3.0),
+    "permuted_columns": lambda y, X: (y, X[:, np.random.default_rng(5).permutation(X.shape[1])]),
+}
+
 
 def influence_from(Z) -> InfluenceMatrix:
     """Wrap a raw matrix as standardized data; only the products of its rows matter."""

@@ -34,7 +34,7 @@ from mipdetect.mip import (
 from mipdetect.robust_stats import Dataset, EstimatorMode, standardize
 from mipdetect.simbench import METHODS, ScenarioKind, ScenarioSpec, gen_scenario
 
-from ground_truth import TRANSFORMS, _parse_cells
+from ground_truth import FLAG_EQUAL_TRANSFORMS, TRANSFORMS, _parse_cells
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -121,21 +121,107 @@ def _declared_console_script(name):
         return tomllib.load(fh)["project"]["scripts"][name]
 
 
+# The start-up contract: both CLI entry points set OPENBLAS_THREAD_TIMEOUT
+# before NumPy loads, a value the user set wins, and a library import
+# changes no environment variable. Each check runs a fresh interpreter,
+# since NumPy is already loaded in this one.
+BLAS_TIMEOUT = "OPENBLAS_THREAD_TIMEOUT"
+
+# a sitecustomize that reports the variable when NumPy is first looked up
+NUMPY_IMPORT_PROBE = f"""
+import os, sys
+
+class _Probe:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            sys.meta_path.remove(self)
+            print("numpy loads with {BLAS_TIMEOUT}=" + os.environ.get("{BLAS_TIMEOUT}", "unset"),
+                  file=sys.stderr)
+        return None
+
+sys.meta_path.insert(0, _Probe())
+"""
+
+
+def run_python(args, cwd=None, probe=False, timeout_value=None):
+    """Run ``python ARGS`` on this checkout's src/, with the variable unset or at ``timeout_value``.
+
+    ``probe`` puts NUMPY_IMPORT_PROBE on the path as a sitecustomize in ``cwd``.
+    """
+    env = dict(os.environ)
+    env.pop(BLAS_TIMEOUT, None)
+    if timeout_value is not None:
+        env[BLAS_TIMEOUT] = timeout_value
+    paths = [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]
+    if probe:
+        (cwd / "sitecustomize.py").write_text(NUMPY_IMPORT_PROBE)
+        paths.insert(0, str(cwd))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def console_script_args():
+    """``python`` arguments that run the declared `mipdetect` target as its installed wrapper does."""
+    module, func = _declared_console_script("mipdetect").split(":")
+    return ["-c", f"import sys; from {module} import {func}; sys.exit({func}())"]
+
+
 def test_console_script_is_installed():
     # Run the declared entry point the way an installer's generated wrapper
     # does, in a fresh interpreter, so the check covers this checkout's
     # [project.scripts] target rather than whatever `mipdetect` is on PATH.
-    module, func = _declared_console_script("mipdetect").split(":")
-    wrapper = f"import sys; from {module} import {func}; sys.exit({func}())"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", wrapper, "--version"], capture_output=True, text=True, env=env
-    )
-    assert proc.returncode == 0
+    proc = run_python([*console_script_args(), "--version"])
     assert proc.stdout.strip() == f"mipdetect {__version__}"
+
+
+def test_package_import_loads_no_numpy_and_every_name_resolves():
+    run_python(["-c", (
+        "import sys, mipdetect\n"
+        "assert 'numpy' not in sys.modules, 'import mipdetect loaded NumPy'\n"
+        "assert set(mipdetect.__all__) <= set(dir(mipdetect))\n"
+        "for name in mipdetect.__all__:\n"
+        "    getattr(mipdetect, name)\n"
+        "from mipdetect import MipConfig, lasso_fit, mip_detect\n"
+        "import mipdetect.mip\n"
+        "assert mip_detect is mipdetect.mip.mip_detect\n"
+        "assert not hasattr(mipdetect, 'no_such_name')\n"
+    )])
+
+
+@pytest.mark.parametrize("entry", ["python_m", "console_script"])
+@pytest.mark.parametrize("user_value", [None, "28"], ids=["unset", "user_28"])
+def test_cli_sets_the_blas_timeout_before_numpy_loads(tmp_path, entry, user_value):
+    args = ["-m", "mipdetect.cli"] if entry == "python_m" else console_script_args()
+    proc = run_python([*args, "--version"], tmp_path, probe=True, timeout_value=user_value)
+    want = user_value or "4"
+    assert proc.stderr.splitlines() == [f"numpy loads with {BLAS_TIMEOUT}={want}"]
+    assert proc.stdout.strip() == f"mipdetect {__version__}"
+
+
+def test_library_imports_change_no_environment():
+    run_python(["-c", (
+        "import os\n"
+        "before = dict(os.environ)\n"
+        "import mipdetect, mipdetect.cli\n"
+        "mipdetect.mip_detect\n"
+        "assert dict(os.environ) == before, set(os.environ.items()) ^ set(before.items())\n"
+    )])
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["private", "shared"])
+def test_detect_bytes_do_not_depend_on_the_blas_timeout(tmp_path, shared):
+    lab = gen_scenario(ScenarioSpec(kind=ScenarioKind.EXAMPLE2, mu=8.0, n=100, p=400, seed=0))
+    write_csv(tmp_path / "in.csv", lab.data.y, lab.data.X)
+    outputs = []
+    for value in (None, "28"):  # the CLI's 4, and OpenBLAS's own default
+        tag = value or "unset"
+        args = ["-m", "mipdetect.cli", "detect", "in.csv", "--m", "20",
+                "--report", f"{tag}.json", "--flags", f"{tag}.csv"]
+        run_python(args + ["--shared-subsets"] * shared, tmp_path, timeout_value=value)
+        outputs.append([(tmp_path / f"{tag}.{ext}").read_bytes() for ext in ("json", "csv")])
+    assert outputs[0] == outputs[1]
 
 
 def test_detect_report_schema(tmp_path, small_csv):
@@ -787,6 +873,40 @@ def test_parse_agrees_with_the_reference_parser(monkeypatch, batch_chars, block_
     assert 900 <= parsed <= 8100  # enough mutants parse, and enough fail, to mean something
 
 
+@pytest.mark.parametrize("delimiter", ["::", ", "])
+@pytest.mark.parametrize(
+    "batch_chars, block_bytes",
+    [(cli._BATCH_CHARS, cli._BLOCK_BYTES), (8, 5)],
+    ids=["default_batches", "tiny_batches"],
+)
+def test_parse_agrees_with_the_reference_parser_on_long_delimiters(
+    monkeypatch, batch_chars, block_bytes, delimiter
+):
+    # np.loadtxt reads these batches through a one-character stand-in for the
+    # delimiter; a lone piece of the delimiter must stay inside its cell
+    monkeypatch.setattr(cli, "_BATCH_CHARS", batch_chars)
+    monkeypatch.setattr(cli, "_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(29)
+    parsed = 0
+    for _ in range(2000):
+        text = mutated_csv(rng).replace(",", delimiter)
+        if rng.random() < 0.3:
+            at = int(rng.integers(len(text) + 1))
+            text = text[:at] + delimiter[int(rng.integers(len(delimiter)))] + text[at:]
+        raw = text.encode("utf-8")
+        for mode in ("auto", "yes", "no"):
+            got = parse_outcome(lambda: cli._parse(io.BytesIO(raw), "m.csv", delimiter, mode))
+            want = parse_outcome(lambda: _parse_cells(raw, "m.csv", delimiter, mode))
+            assert got == want, (raw, mode)
+            parsed += not isinstance(got, str)
+    assert 600 <= parsed <= 5400
+    # and the stand-in does the reading: no batch of a clean table is re-read cell by cell
+    rows = [delimiter.join(f"{v!r}" for v in row) for row in rng.standard_normal((40, 5)).tolist()]
+    monkeypatch.setattr(cli, "float", lambda cell: pytest.fail(f"cell {cell!r} re-read"), raising=False)
+    data, _, _ = cli._parse(io.BytesIO("\n".join(rows).encode()), "m.csv", delimiter, "no")
+    assert data.shape == (40, 5)
+
+
 @pytest.mark.parametrize(
     "raw",
     [
@@ -852,14 +972,8 @@ def test_ingestion_memory_is_bounded(tmp_path, big_table, case):
     assert peak <= 3 * data.nbytes + 4_000_000, (peak, data.nbytes)
 
 
-# CSV transforms under which only detect's flagged set stays the same; under
+# Under FLAG_EQUAL_TRANSFORMS only detect's flagged set stays the same; under
 # TRANSFORMS its flags.csv, and its report.json but for the input digest, do.
-FLAG_EQUAL_TRANSFORMS = {
-    "shifted_predictors": lambda y, X: (y, X + 3.0),
-    "permuted_columns": lambda y, X: (y, X[:, np.random.default_rng(5).permutation(X.shape[1])]),
-}
-
-
 @pytest.mark.parametrize("shared", [False, True], ids=["private", "shared"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_detect_outputs_keep_their_invariances(tmp_path, seed, shared):

@@ -33,7 +33,7 @@ from mipdetect import (
 from mipdetect.chi2_fdr import bh_select, chi2_1_sf_vec
 from mipdetect.subsample import _KEY_R_BITS, _stream_key, min_max_sweep, subset_size
 
-from ground_truth import TRANSFORMS, influence_from, marginal_correlation
+from ground_truth import FLAG_EQUAL_TRANSFORMS, TRANSFORMS, influence_from, marginal_correlation
 
 
 def small_contaminated():
@@ -538,6 +538,18 @@ def test_report_bytes_survive_sign_flips_and_power_of_two_scales(
     got = INVARIANT_DETECTORS[detector](Dataset(y=y, X=X)).records
     assert want[detector].influential.any()
     assert got.tobytes() == want[detector].tobytes()
+
+
+@pytest.mark.parametrize("detector", sorted(INVARIANT_DETECTORS))
+@pytest.mark.parametrize("transform", sorted(FLAG_EQUAL_TRANSFORMS))
+def test_flags_survive_a_shift_and_a_column_permutation(invariance_base, transform, detector):
+    # HIM flags all 60 rows of this draw, so its case shows only that no
+    # row drops out, a weak check; the draw is kept as the byte tests have it
+    d, want = invariance_base
+    y, X = FLAG_EQUAL_TRANSFORMS[transform](d.y, d.X)
+    got = INVARIANT_DETECTORS[detector](Dataset(y=y, X=X)).records
+    assert want[detector].influential.any()
+    assert np.array_equal(got.influential, want[detector].influential)
 
 
 # ---------------------------------------------------------------------------
