@@ -20,7 +20,7 @@ import numpy as np
 
 from .chi2_fdr import bh_select, chi2_1_sf_vec
 from .robust_stats import Dataset, EstimatorMode, InfluenceMatrix, standardize
-from .subsample import _scores, min_max_sweep, subset_ids, subset_size
+from .subsample import _distinct, _scores, min_max_sweep, subset_ids, subset_size
 
 
 class DegenerateShrinkageError(RuntimeError):
@@ -244,7 +244,7 @@ def min_max_clean_set(Z: InfluenceMatrix, cfg: MipConfig, first: tuple) -> Clean
 
 def _clean_set(Z: InfluenceMatrix, S_c, least: int) -> np.ndarray:
     """S_c's distinct rows, sorted; ValueError unless there are ``least`` of them, all in Z."""
-    clean = np.unique(np.asarray(S_c, dtype=np.int64))
+    clean = _distinct(S_c)
     if clean.size < least:
         raise ValueError(f"clean set needs at least {least} observation(s)")
     if clean[0] < 0 or clean[-1] >= Z.n:
@@ -279,7 +279,9 @@ def checking_step(Z: InfluenceMatrix, S_c, alpha0: float = 0.05) -> DetectionRep
     and alpha0 is validated either way.
     """
     clean = _clean_set(Z, S_c, 1)
-    suspects = np.setdiff1d(np.arange(Z.n, dtype=np.int64), clean)
+    outside = np.ones(Z.n, dtype=bool)
+    outside[clean] = False
+    suspects = np.flatnonzero(outside)
     stats = _checking_stats(Z, clean, suspects)
     pvals = chi2_1_sf_vec(stats)
     records = report_records(Z.n, suspects[bh_select(pvals, alpha0).rejected])

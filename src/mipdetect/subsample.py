@@ -28,9 +28,10 @@ the target's own, or one pool of ceil(2.5 m) subsets drawn from a reserved
 target slot, of which each target scores the first m that exclude it, or
 its private draws if the pool has too few. ``subset_ids`` is where a
 sweep's subset-id count is checked against the key's 20-bit field.
-Private blocks of about 4 MB are drawn and scored one after another on
-the caller, small ones on one OpenBLAS thread; K and the pool keep the
-caller's threads.
+Private blocks are drawn and scored one after another on the caller, in
+three buffers of about 1 MB (``_BLOCK_FLOATS``) allocated once per sweep,
+small ones on one OpenBLAS thread; K and the pool keep the caller's
+threads.
 """
 
 from __future__ import annotations
@@ -54,6 +55,11 @@ _SHARED_KEY_SLOT = (1 << _KEY_K_BITS) - 1
 # pooled draws per working set in shared-subsets mode, relative to m;
 # roughly half of them exclude any given target when k_sub = 1/2
 _SHARED_OVERDRAW = 2.5
+
+# float64 per private-block buffer (uniforms then W, their partition, R), about 1 MB;
+# a block holds as many targets as fit, and at least one. Blocks of one target took
+# the first sweep at n = 100, p = 1000 from 39 to 47 ms.
+_BLOCK_FLOATS = 125_000
 
 
 class _OneBlasThread:
@@ -101,7 +107,8 @@ def _stream_key(seed: int, k: int, round_id: int, r: int) -> int:
     return ((int(seed) & 0xFFFFFFFFFFFFFFFF) << 64) | low
 
 
-def _uniforms(seed: int, keys, round_id: int, m: int, width: int, spare: int = 0) -> np.ndarray:
+def _uniforms(seed: int, keys, round_id: int, m: int, width: int, spare: int = 0,
+              out=None) -> np.ndarray:
     """(len(keys) * m, width + spare) buffer of uniforms, key-major, spare columns unset.
 
     Row r of key k opens with ``width`` uniforms of stream (seed, k, round_id, r). One bit
@@ -115,7 +122,7 @@ def _uniforms(seed: int, keys, round_id: int, m: int, width: int, spare: int = 0
     # every row starts a fresh stream: zero counter, empty buffer, no cached half-word
     state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    u = np.empty((len(keys) * m, width + spare))
+    u = np.empty((len(keys) * m, width + spare)) if out is None else out
     rows = iter(u[:, :width])
     for low in lows:
         for r in range(m):
@@ -125,15 +132,19 @@ def _uniforms(seed: int, keys, round_id: int, m: int, width: int, spare: int = 0
     return u
 
 
-def _indicators(u: np.ndarray, s: int, skip=None) -> np.ndarray:
+def _indicators(u: np.ndarray, s: int, skip=None, scratch=None) -> np.ndarray:
     """Overwrite u with 0/1 rows marking each row's s smallest uniforms.
 
-    Those are at or below the s-th smallest (one partition pivot), or argpartition's pick if
-    tied there. With ``skip``, a target position per block of rows, u's last column is spare
-    and each block's marks move right past its target, whose column gets 0.
+    Those are at or below the s-th smallest (one partition pivot, found in a copy of the
+    uniforms: ``scratch`` if given), or argpartition's pick if tied there. With ``skip``, a
+    target position per block of rows, u's last column is spare and each block's marks move
+    right past its target, whose column gets 0.
     """
     x = u if skip is None else u[:, :-1]
-    sel = x <= np.partition(x, s - 1, axis=1)[:, s - 1 : s]
+    part = np.empty(x.shape) if scratch is None else scratch
+    np.copyto(part, x)
+    part.partition(s - 1, axis=1)
+    sel = x <= part[:, s - 1 : s]
     tied = np.flatnonzero(np.count_nonzero(sel, axis=1) != s)
     sel[tied] = False
     sel[tied[:, None], np.argpartition(x[tied], s - 1, axis=1)[:, :s]] = True
@@ -146,6 +157,14 @@ def _indicators(u: np.ndarray, s: int, skip=None) -> np.ndarray:
     np.copyto(u[:, 1:], sel, where=cols >= t[:, None])
     u[np.arange(len(u)), t] = 0.0
     return u
+
+
+def _distinct(a) -> np.ndarray:
+    """``np.unique`` of an int64 array by sort and adjacent compare; np.unique imports numpy.ma."""
+    a = np.sort(np.asarray(a, dtype=np.int64), axis=None)
+    keep = np.ones(a.size, dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
 
 
 def subset_size(n_active: int, k_sub: float) -> int:
@@ -164,7 +183,7 @@ def draw_subsets(active, k: int, m: int, n_sub: int, seed: int, round_id: int = 
     sorted, none containing k; subsets are independent across rows
     (replacement across draws). Deterministic given (seed, k, round_id).
     """
-    av = np.unique(np.asarray(active, dtype=np.int64))
+    av = _distinct(active)
     pos = int(np.searchsorted(av, k))
     if pos >= av.size or av[pos] != k:
         raise ValueError("target must belong to the active set")
@@ -191,13 +210,14 @@ def _scores(q: np.ndarray, g: np.ndarray, K_kk, s: int, p: int) -> np.ndarray:
     return stats
 
 
-def _subset_extremes(W, K, batch, rows, targets, s, p) -> np.ndarray:
+def _subset_extremes(W, K, batch, rows, targets, s, p, out=None) -> np.ndarray:
     """Rows T_min, T_max: extremes of the statistics of ``W[rows[i]]`` at target ``targets[i]``.
 
-    R = W @ K is taken ``batch`` rows per product, so that a row's bits
-    never depend on the block it is scored in.
+    R = W @ K (into ``out`` if given) is taken ``batch`` rows per product, so
+    that a row's bits never depend on the block it is scored in.
     """
-    R = (W.reshape(-1, batch, W.shape[1]) @ K).reshape(W.shape)
+    R = np.empty(W.shape) if out is None else out
+    np.matmul(W.reshape(-1, batch, W.shape[1]), K, out=R.reshape(-1, batch, W.shape[1]))
     q = np.einsum("ij,ij->i", R, W)
     r, k = rows.ravel(), np.repeat(targets, rows.shape[1])
     stats = _scores(q[r], R[r, k], K.diagonal()[k], s, p).reshape(rows.shape)
@@ -227,18 +247,19 @@ def min_max_sweep(
 
     Returns (t_min, t_max) aligned with the sorted active set.
     Output is a pure function of the arguments: how targets are split into
-    blocks never changes a bit. Private blocks hold about 4 MB of buffers
-    each and are drawn and scored in turn on the caller, on one OpenBLAS
+    blocks never changes a bit. Private blocks are drawn and scored in turn
+    on the caller, in three buffers of about 1 MB (one target's m rows if
+    larger) allocated once per sweep and reused by every block, on one OpenBLAS
     thread where NumPy bundles it if m * n_U^2 <= 4e6; at large n, other
     blocks, the pool and K may take bits from OPENBLAS_NUM_THREADS.
     """
-    av = np.unique(np.asarray(active, dtype=np.int64))
+    av = _distinct(active)
     n_U = av.size
     s = n_sub - 1
     if not 1 <= s <= n_U - 1:
         raise ValueError("subset size out of range for this working set")
     M = subset_ids(m, shared)
-    K = Z.gram if av[0] == 0 and av[-1] == n_U - 1 == Z.n - 1 else Z.gram[np.ix_(av, av)]
+    K = Z.gram if av[0] == 0 and av[-1] == n_U - 1 == Z.n - 1 else Z.gram.take(av, 0).take(av, 1)
     t = np.empty((2, n_U))  # T_min, T_max
     private = np.arange(n_U)
     if shared:
@@ -254,12 +275,17 @@ def min_max_sweep(
     # one BLAS thread pays on small products only: from n_U = 300 (m = 100) it costs wall time
     pin = _one_blas_thread if m * n_U * n_U <= 4_000_000 else contextlib.nullcontext()
 
-    # a block's (targets*m, n_U) buffers (uniforms then W, their partition, R) stay near 4 MB
-    chunk = max(1, 500_000 // (m * n_U))
+    if not private.size:
+        return t[0], t[1]
+    chunk = min(private.size, max(1, _BLOCK_FLOATS // (m * n_U)))
+    u, R = np.empty((chunk * m, n_U)), np.empty((chunk * m, n_U))
+    part = np.empty((chunk * m, n_U - 1))
+    rows = np.arange(chunk * m).reshape(-1, m)
     for lo in range(0, private.size, chunk):
         idx = private[lo:lo + chunk]
-        u = _uniforms(seed, av[idx], round_id, m, n_U - 1, 1)
-        rows = np.arange(idx.size * m).reshape(-1, m)
+        h = idx.size * m
+        _uniforms(seed, av[idx], round_id, m, n_U - 1, 1, out=u[:h])
+        W = _indicators(u[:h], s, skip=idx, scratch=part[:h])
         with pin:
-            t[:, idx] = _subset_extremes(_indicators(u, s, skip=idx), K, m, rows, idx, s, Z.p)
+            t[:, idx] = _subset_extremes(W, K, m, rows[:idx.size], idx, s, Z.p, R[:h])
     return t[0], t[1]

@@ -318,8 +318,10 @@ def test_extremes_are_monotone_in_the_subset_count():
 def test_sweep_over_many_blocks_draws_each_target_once(monkeypatch):
     rng = np.random.default_rng(29)
     Z = influence_from(rng.standard_normal((210, 12)))
-    active = np.arange(3, 210)  # n_U = 207; with m = 50 a block holds 48 targets
+    active = np.arange(3, 210)  # n_U = 207
     m, n_sub = 50, subset_size(207, 0.5)
+    per_block = subsample._BLOCK_FLOATS // (m * 207)  # targets of m rows that fill a buffer
+    assert 1 < per_block < 207
     drawn = []
     uniforms = subsample._uniforms
 
@@ -331,7 +333,8 @@ def test_sweep_over_many_blocks_draws_each_target_once(monkeypatch):
     runs = [min_max_sweep(Z, active, m, n_sub, seed=41, round_id=1) for _ in range(2)]
     assert np.array_equal(runs[1][0], runs[0][0])
     assert np.array_equal(runs[1][1], runs[0][1])
-    assert drawn == [48, 48, 48, 48, 15] * 2
+    full, rest = divmod(207, per_block)
+    assert drawn == ([per_block] * full + [rest] * (rest > 0)) * 2
 
 
 def test_shared_subset_pool_is_deterministic():
@@ -388,6 +391,50 @@ def test_partly_starved_pool_leaves_the_starved_rows_bits_alone(monkeypatch):
     assert np.array_equal(shared[1][starved], plain[1][starved])
     served = np.setdiff1d(active, starved)
     assert not np.array_equal(shared[0][served], plain[0][served])
+
+
+@pytest.mark.parametrize("n, active, m, n_sub, shared", [
+    (100, np.arange(100), 50, 51, False),  # private, every row
+    (120, np.r_[2:70, 75:120], 40, 58, False),  # private, a shrunken working set
+    (150, np.arange(150), 200, 91, True),  # a partly starved pool
+])
+def test_blocking_never_changes_a_bit(monkeypatch, n, active, m, n_sub, shared):
+    Z = influence_from(np.random.default_rng(31).standard_normal((n, 9)))
+    n_U = active.size
+    assert 1 < subsample._BLOCK_FLOATS // (m * n_U) < n_U  # the default packs several blocks
+    blocks = []
+    uniforms = subsample._uniforms
+
+    def spy(seed, keys, *args, **kwargs):
+        blocks.append(len(keys))
+        return uniforms(seed, keys, *args, **kwargs)
+
+    monkeypatch.setattr(subsample, "_uniforms", spy)
+    want = min_max_sweep(Z, active, m, n_sub, seed=23, round_id=4, shared=shared)
+    private = sum(blocks[shared:])
+    assert len(blocks) - shared > 1
+    for floats, sizes in [(1, [1] * private), (m * n_U * n_U, [private])]:
+        monkeypatch.setattr(subsample, "_BLOCK_FLOATS", floats)
+        blocks.clear()
+        got = min_max_sweep(Z, active, m, n_sub, seed=23, round_id=4, shared=shared)
+        assert blocks[shared:] == sizes
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("m", [50, 100, 400])
+def test_private_sweep_memory_is_three_small_buffers_whatever_m(m):
+    """Beyond Z and K, a desk-size private sweep holds about 3 MB of block buffers at any m."""
+    Z = influence_from(np.random.default_rng(32).standard_normal((100, 1000)))
+    Z.gram  # formed once per sample, before the sweep
+    tracemalloc.start()
+    try:
+        min_max_sweep(Z, np.arange(100), m, 51, seed=2, round_id=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 3 * 8 * subsample._BLOCK_FLOATS + 1_000_000
+    assert peak <= bound, (peak, bound)
 
 
 def test_shared_pool_statistics_replay_the_first_usable_pooled_subsets():
@@ -495,8 +542,9 @@ def test_private_blocks_pin_blas_only_for_small_products(
     two_blas_threads, monkeypatch, n, m, pinned
 ):
     # one thread pays up to m * n_U^2 = 4e6 multiply-adds per product; bigger ones keep the
-    # caller's. A block holds 500_000 // (m * n) targets, the ~4 MB buffer bound: 8, 9, 8 blocks.
-    blocks = -(-n // (500_000 // (m * n)))
+    # caller's. A block holds the targets whose m rows fill a buffer of _BLOCK_FLOATS, at least one.
+    blocks = -(-n // max(1, subsample._BLOCK_FLOATS // (m * n)))
+    assert blocks > 1
     get, _ = two_blas_threads
     seen = []
     scores = subsample._subset_extremes
@@ -550,6 +598,7 @@ def test_blas_pin_nests_across_threads_and_restores_after_a_raise(two_blas_threa
     fit.join(timeout=60)
     worker.join(timeout=60)
     assert not fit.is_alive() and not worker.is_alive()
+    assert 30 * 10 * 30 <= subsample._BLOCK_FLOATS  # the sweep's 30 targets of 10 rows: one block
     assert in_lasso == [1] * 6 and in_sweep == [1]  # 5 CV paths and the final one; one block
     assert get() == 2
     assert subsample._one_blas_thread.depth == 0
