@@ -437,7 +437,10 @@ def cmd_plot_data(args) -> int:
     mip_report = min_max_checking(Z, cfg, first)
     max_rec = max_detect(Z, cfg, first).records
     min_rec = min_multiround_detect(Z, cfg, first).records
-    p_check = chi2_1_sf_vec(checking_statistics_all(Z, mip_report.clean_set))
+    # the suspects were scored by the checking step; only the clean members are left
+    clean = mip_report.clean_set
+    p_check = mip_report.records.p_value.copy()
+    p_check[clean] = chi2_1_sf_vec(checking_statistics_all(Z, clean, rows=clean))
 
     columns = (
         log10_pvalues(max_rec.p_value),

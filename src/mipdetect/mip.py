@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .chi2_fdr import bh_select, chi2_1_sf_vec
-from .robust_stats import Dataset, EstimatorMode, InfluenceMatrix, standardize
+from .robust_stats import Dataset, EstimatorMode, InfluenceMatrix, _one_blas_thread, standardize
 from .subsample import _distinct, _scores, min_max_sweep, subset_ids, subset_size
 
 
@@ -259,11 +259,14 @@ def _checking_stats(Z: InfluenceMatrix, clean: np.ndarray, rows: np.ndarray) -> 
     with u = Z^T 1_c and R = Z u, a row outside it has q = <u, u> and
     g = R_i over s = |c|; a member leaves itself out, so its q loses
     2 R_i - K_ii, its g loses its squared norm K_ii and its s is |c| - 1.
+    The two products run on one OpenBLAS thread, so their bits do not
+    follow the thread count.
     """
     w = np.zeros(Z.n)
     w[clean] = 1.0
-    u = w @ Z.Z  # a product, not a gather: no copy of the clean rows
-    R = (Z.Z @ u)[rows]
+    with _one_blas_thread:
+        u = w @ Z.Z  # a product, not a gather: no copy of the clean rows
+        R = (Z.Z @ u)[rows]
     K_ii = np.einsum("ij,ij->i", Z.Z, Z.Z)[rows]
     inside = w[rows]
     q = u @ u - inside * (2.0 * R - K_ii)
@@ -291,14 +294,16 @@ def checking_step(Z: InfluenceMatrix, S_c, alpha0: float = 0.05) -> DetectionRep
     return DetectionReport(method="checking", records=records, clean_set=clean)
 
 
-def checking_statistics_all(Z: InfluenceMatrix, S_c) -> np.ndarray:
-    """Checking statistic for every observation, clean members included.
+def checking_statistics_all(Z: InfluenceMatrix, S_c, rows=None) -> np.ndarray:
+    """Checking statistic for every observation, or for ``rows``, clean members included.
 
     Members of the clean set are tested against the clean set minus
     themselves (reference size |S_c| - 1), outsiders against the full
-    clean set; used for figure-style p-value exports.
+    clean set; used for figure-style p-value exports. A row's value does
+    not depend on which other rows are asked for.
     """
-    return _checking_stats(Z, _clean_set(Z, S_c, 2), np.arange(Z.n))
+    rows = np.arange(Z.n) if rows is None else np.asarray(rows, dtype=np.int64)
+    return _checking_stats(Z, _clean_set(Z, S_c, 2), rows)
 
 
 # ---------------------------------------------------------------------------

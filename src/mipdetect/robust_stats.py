@@ -5,23 +5,123 @@ Z with entries Z[t, j] = yhat[t] * xhat[t, j], where yhat and xhat are
 the response and predictors standardized by location/scale estimates
 computed once on the full sample. Two estimator modes are supported:
 plain moments and median/MAD.
+
+The large dense work runs in fixed panels on one OpenBLAS thread each
+(``_one_blas_thread``), spread over the usable CPUs by ``_spread``: the
+robust scale's column blocks and the 256-row panels of K = Z Z^T. A
+panel's bits therefore never depend on how many threads run, and no
+OpenBLAS worker is woken to spin after a product. Work of a single panel
+(K at n <= 256) stays one call on the caller's BLAS threads.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
 # Normal-consistency factor for the MAD: 1/Phi^{-1}(3/4).
 MAD_SCALE_FACTOR = 1.4826
 
-# Bytes per column block of the robust standardization (131 columns at
-# n = 1000). Blocks of 1-4 MB timed alike; full-width ones were about 20%
-# slower at n = 1000, and would double the peak.
-_BLOCK_BYTES = 1 << 20
+# Bytes of column blocks of the robust standardization, shared by its
+# workers: 131 columns each at n = 1000 on 2 CPUs. Blocks of 1-4 MB timed
+# alike on one worker; full-width ones were about 20% slower at n = 1000,
+# and would double the peak. Half-size blocks on 2 CPUs cost 3 ms of wall
+# and 6 ms of CPU per n = 1000, p = 2000 standardize.
+_BLOCK_BYTES = 1 << 21
+
+# Rows per panel of K = Z Z^T: n <= 256 is one product, as a single call.
+_GRAM_PANEL = 256
+
+
+class _OneBlasThread:
+    """OpenBLAS on one thread inside ``with``; a no-op without NumPy's bundled OpenBLAS symbols.
+
+    The count is process-wide: entries nest across threads and the last exit restores it.
+    """
+
+    lock, depth, saved, calls = threading.Lock(), 0, 0, None
+
+    def symbols(self) -> tuple:
+        """The (get, set) thread-count calls, looked up on first use; () where missing."""
+        if self.calls is None:
+            libs = Path(np.__file__).parents[1].glob("numpy.libs/libscipy_openblas64_*.so")
+            try:
+                lib = ctypes.CDLL(str(next(libs)))
+                self.calls = (lib.scipy_openblas_get_num_threads64_,
+                              lib.scipy_openblas_set_num_threads64_)
+            except (StopIteration, OSError, AttributeError):
+                self.calls = ()
+        return self.calls
+
+    def __enter__(self):
+        with self.lock:
+            if self.depth == 0 and self.symbols():
+                self.saved = self.calls[0]()
+                self.calls[1](1)
+            self.depth += 1
+
+    def __exit__(self, *exc):
+        with self.lock:
+            self.depth -= 1
+            if self.depth == 0 and self.calls:
+                self.calls[1](self.saved)
+
+
+_one_blas_thread = _OneBlasThread()
+
+
+def _workers() -> int:
+    """Threads ``_spread`` runs on: the usable CPUs, or 1 where nothing can be pinned."""
+    return len(os.sched_getaffinity(0)) if _one_blas_thread.symbols() else 1
+
+
+def _spread(fn, tasks) -> None:
+    """Run ``fn(task)`` for every task, inside the pin, on min(#tasks, usable CPUs) threads.
+
+    The caller is one of the threads, and each thread takes the next task
+    until none is left. The first exception a task raises stops the others
+    taking tasks and is raised here once every thread has finished. Tasks
+    must write disjoint outputs. A single task runs inline on the caller
+    without the pin, as one call on the caller's BLAS threads; so do all
+    tasks without the OpenBLAS symbols, where nothing can be pinned.
+    """
+    tasks = list(tasks)
+    if len(tasks) < 2 or not _one_blas_thread.symbols():
+        for task in tasks:
+            fn(task)
+        return
+    pending, lock, errors = iter(tasks), threading.Lock(), []
+    done = object()
+
+    def work():
+        while True:
+            with lock:
+                task = done if errors else next(pending, done)
+            if task is done:
+                return
+            try:
+                fn(task)
+            except BaseException as e:
+                with lock:
+                    errors.append(e)
+                return
+
+    with _one_blas_thread:
+        threads = [threading.Thread(target=work) for _ in range(min(len(tasks), _workers()) - 1)]
+        for t in threads:
+            t.start()
+        work()
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
 
 
 class DegenerateColumnError(ValueError):
@@ -106,7 +206,25 @@ class InfluenceMatrix:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        return self.Z @ self.Z.T
+        """K = Z Z^T from fixed 256-row panels: syrk on the diagonal, one product to its right.
+
+        Each product is written into K in place and the right-hand block is
+        mirrored below the diagonal, so K is exactly symmetric. Past n = 256
+        every panel runs on one OpenBLAS thread (``_spread``) and K's bits do
+        not follow the thread count; up to it K is one call on the caller's
+        BLAS threads, as before.
+        """
+        Z, n, b = self.Z, self.n, _GRAM_PANEL
+        K = np.empty((n, n))
+
+        def panel(i):
+            rows, right = slice(i, i + b), slice(i + b, n)
+            np.matmul(Z[rows], Z[rows].T, out=K[rows, rows])
+            np.matmul(Z[rows], Z[right].T, out=K[rows, right])
+            K[right, rows] = K[rows, right].T
+
+        _spread(panel, range(0, n, b))
+        return K
 
 
 # ---------------------------------------------------------------------------
@@ -139,26 +257,29 @@ def _location_scale(A: np.ndarray, mode: EstimatorMode):
     SAMPLE reduces the whole matrix along axis 0: the mean, then the
     (n-1)-denominator standard deviation, and only then allocates the
     centred copy, which can reuse the memory of np.std's temporaries.
-    ROBUST takes the median and 1.4826 * MAD over 1 MB column blocks, each
-    copied transposed so that its columns are contiguous rows, selected
-    for the median, then refilled with the absolute deviations. Its peak
-    memory is the centred copy plus one block.
+    ROBUST takes the median and 1.4826 * MAD over column blocks spread over
+    the CPUs (``_spread``), each block copied transposed so that its columns
+    are contiguous rows, selected for the median, then refilled with the
+    absolute deviations. The blocks share 2 MB among the CPUs, so the peak
+    memory is the centred copy plus about 2 MB; medians are exact, so the
+    bits do not depend on the block width.
     """
     if mode is EstimatorMode.SAMPLE:
         mu, sigma = np.mean(A, axis=0), np.std(A, axis=0, ddof=1)
         return A - mu, mu, sigma
     n, q = A.shape
-    width = max(1, _BLOCK_BYTES // (8 * n))
-    block = np.empty((min(width, q), n))
+    width = max(1, _BLOCK_BYTES // (8 * n * _workers()))
     out, mu, sigma = np.empty((n, q)), np.empty(q), np.empty(q)
-    for j in range(0, q, width):
+
+    def block(j):
         cols = slice(j, j + width)
-        rows = block[: min(width, q - j)]
-        np.copyto(rows, A[:, cols].T)
+        rows = A[:, cols].T.copy()
         _select_medians(rows, mu[cols])
         np.subtract(A[:, cols], mu[cols], out=out[:, cols])
         np.abs(out[:, cols].T, out=rows)
         _select_medians(rows, sigma[cols])
+
+    _spread(block, range(0, q, width))
     sigma *= MAD_SCALE_FACTOR
     return out, mu, sigma
 

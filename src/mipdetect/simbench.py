@@ -231,13 +231,14 @@ def fit_metrics(beta_hat: np.ndarray, beta_true: np.ndarray) -> tuple[float, flo
     if beta_hat.shape != beta_true.shape:
         raise ValueError("coefficient vectors differ in length")
     err = float(np.linalg.norm(beta_hat - beta_true))
-    supp_true = np.flatnonzero(beta_true)
-    if supp_true.size == 0:
+    # boolean masks, not np.isin: it goes through np.unique, which imports numpy.ma
+    supp_true, supp_hat = beta_true != 0.0, beta_hat != 0.0
+    size = np.count_nonzero(supp_true)
+    if size == 0:
         raise ValueError("true support is empty; tpr_vs undefined")
-    supp_hat = np.flatnonzero(beta_hat)
-    tpr_vs = np.isin(supp_true, supp_hat).sum() / supp_true.size
-    off = beta_true.size - supp_true.size
-    fpr_vs = (~np.isin(supp_hat, supp_true)).sum() / off if off else 0.0
+    tpr_vs = np.count_nonzero(supp_true & supp_hat) / size
+    off = beta_true.size - size
+    fpr_vs = np.count_nonzero(supp_hat & ~supp_true) / off if off else 0.0
     return err, float(tpr_vs), float(fpr_vs)
 
 

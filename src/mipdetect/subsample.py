@@ -28,23 +28,24 @@ the target's own, or one pool of ceil(2.5 m) subsets drawn from a reserved
 target slot, of which each target scores the first m that exclude it, or
 its private draws if the pool has too few. ``subset_ids`` is where a
 sweep's subset-id count is checked against the key's 20-bit field.
-Private blocks are drawn and scored one after another on the caller, in
-three buffers of about 1 MB (``_BLOCK_FLOATS``) allocated once per sweep,
-small ones on one OpenBLAS thread; K and the pool keep the caller's
-threads.
+The pool is scored in fixed 128-row products (``_pool_product``), each
+on one OpenBLAS thread, spread over the CPUs like K's panels, so its bits
+do not follow the BLAS thread count (a pool of one panel is one call on
+the caller's BLAS threads, as before). Private blocks are drawn and scored
+one after another on the caller, in three buffers of about 1 MB
+(``_BLOCK_FLOATS``) allocated once per sweep, small ones on one OpenBLAS
+thread; larger ones keep the caller's BLAS threads, and at large n their
+bits may follow the thread count.
 """
 
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import math
-import threading
-from pathlib import Path
 
 import numpy as np
 
-from .robust_stats import InfluenceMatrix
+from .robust_stats import InfluenceMatrix, _one_blas_thread, _spread
 
 _KEY_K_BITS = 24
 _KEY_ROUND_BITS = 20
@@ -56,43 +57,13 @@ _SHARED_KEY_SLOT = (1 << _KEY_K_BITS) - 1
 # roughly half of them exclude any given target when k_sub = 1/2
 _SHARED_OVERDRAW = 2.5
 
+# rows of the pool per product; the products are spread over the CPUs on one BLAS thread each
+_POOL_PANEL = 128
+
 # float64 per private-block buffer (uniforms then W, their partition, R), about 1 MB;
 # a block holds as many targets as fit, and at least one. Blocks of one target took
 # the first sweep at n = 100, p = 1000 from 39 to 47 ms.
 _BLOCK_FLOATS = 125_000
-
-
-class _OneBlasThread:
-    """OpenBLAS on one thread inside ``with``; a no-op without NumPy's bundled OpenBLAS symbols.
-
-    The count is process-wide: entries nest across threads and the last exit restores it.
-    """
-
-    lock, depth, saved, calls = threading.Lock(), 0, 0, None
-
-    def __enter__(self):
-        with self.lock:
-            if self.calls is None:
-                libs = Path(np.__file__).parents[1].glob("numpy.libs/libscipy_openblas64_*.so")
-                try:
-                    lib = ctypes.CDLL(str(next(libs)))
-                    self.calls = (lib.scipy_openblas_get_num_threads64_,
-                                  lib.scipy_openblas_set_num_threads64_)
-                except (StopIteration, OSError, AttributeError):
-                    self.calls = ()
-            if self.depth == 0 and self.calls:
-                self.saved = self.calls[0]()
-                self.calls[1](1)
-            self.depth += 1
-
-    def __exit__(self, *exc):
-        with self.lock:
-            self.depth -= 1
-            if self.depth == 0 and self.calls:
-                self.calls[1](self.saved)
-
-
-_one_blas_thread = _OneBlasThread()
 
 
 def _stream_key(seed: int, k: int, round_id: int, r: int) -> int:
@@ -210,18 +181,27 @@ def _scores(q: np.ndarray, g: np.ndarray, K_kk, s: int, p: int) -> np.ndarray:
     return stats
 
 
-def _subset_extremes(W, K, batch, rows, targets, s, p, out=None) -> np.ndarray:
+def _subset_extremes(W, R, K, rows, targets, s, p) -> np.ndarray:
     """Rows T_min, T_max: extremes of the statistics of ``W[rows[i]]`` at target ``targets[i]``.
 
-    R = W @ K (into ``out`` if given) is taken ``batch`` rows per product, so
-    that a row's bits never depend on the block it is scored in.
+    R is W @ K, taken in products of rows that do not depend on the block
+    the rows are scored in, so that a row's bits never do either.
     """
-    R = np.empty(W.shape) if out is None else out
-    np.matmul(W.reshape(-1, batch, W.shape[1]), K, out=R.reshape(-1, batch, W.shape[1]))
     q = np.einsum("ij,ij->i", R, W)
     r, k = rows.ravel(), np.repeat(targets, rows.shape[1])
     stats = _scores(q[r], R[r, k], K.diagonal()[k], s, p).reshape(rows.shape)
     return np.stack((stats.min(axis=1), stats.max(axis=1)))
+
+
+def _pool_product(member, K) -> np.ndarray:
+    """member @ K in fixed ``_POOL_PANEL``-row products, spread over the CPUs (``_spread``)."""
+    R = np.empty(member.shape)
+
+    def panel(lo):
+        np.matmul(member[lo:lo + _POOL_PANEL], K, out=R[lo:lo + _POOL_PANEL])
+
+    _spread(panel, range(0, len(member), _POOL_PANEL))
+    return R
 
 
 def subset_ids(m: int, shared: bool) -> int:
@@ -250,8 +230,9 @@ def min_max_sweep(
     blocks never changes a bit. Private blocks are drawn and scored in turn
     on the caller, in three buffers of about 1 MB (one target's m rows if
     larger) allocated once per sweep and reused by every block, on one OpenBLAS
-    thread where NumPy bundles it if m * n_U^2 <= 4e6; at large n, other
-    blocks, the pool and K may take bits from OPENBLAS_NUM_THREADS.
+    thread where NumPy bundles it if m * n_U^2 <= 4e6; larger private blocks
+    may take bits from OPENBLAS_NUM_THREADS. K and the pool do only where
+    they are a single panel (n <= 256, M <= 128), one call as before.
     """
     av = _distinct(active)
     n_U = av.size
@@ -270,7 +251,9 @@ def min_max_sweep(
         served = rank[-1] >= m
         rows = np.nonzero((avail & (rank <= m))[:, served].T)[1].reshape(-1, m)
         private = np.flatnonzero(~served)
-        t[:, served] = _subset_extremes(member, K, M, rows, np.flatnonzero(served), s, Z.p)
+        R = _pool_product(member, K)
+        t[:, served] = _subset_extremes(member, R, K, rows, np.flatnonzero(served), s, Z.p)
+        del R  # freed before the private buffers are allocated
 
     # one BLAS thread pays on small products only: from n_U = 300 (m = 100) it costs wall time
     pin = _one_blas_thread if m * n_U * n_U <= 4_000_000 else contextlib.nullcontext()
@@ -287,5 +270,7 @@ def min_max_sweep(
         _uniforms(seed, av[idx], round_id, m, n_U - 1, 1, out=u[:h])
         W = _indicators(u[:h], s, skip=idx, scratch=part[:h])
         with pin:
-            t[:, idx] = _subset_extremes(W, K, m, rows[:idx.size], idx, s, Z.p, R[:h])
+            # m rows per product whatever the block holds, so a row's bits do not depend on it
+            np.matmul(W.reshape(-1, m, n_U), K, out=R[:h].reshape(-1, m, n_U))
+            t[:, idx] = _subset_extremes(W, R[:h], K, rows[:idx.size], idx, s, Z.p)
     return t[0], t[1]

@@ -21,6 +21,7 @@ import pytest
 from mipdetect import __version__
 from mipdetect.chi2_fdr import chi2_1_sf_vec, log10_pvalues
 from mipdetect import cli
+from mipdetect import mip as mip_module
 from mipdetect.cli import _add_mip_opts, _cell, build_parser, load_dataset, main
 from mipdetect.mip import (
     MipConfig,
@@ -222,6 +223,17 @@ def test_detect_leaves_numpy_ma_unimported(tmp_path, small_csv, shared):
         "assert json.load(open('r.json'))['removed'][0]['step'] == 'min'  # a shrunken sweep ran\n"
     ), "detect", str(csv), "--report", "r.json", "--flags", "f.csv", *["--shared-subsets"] * shared],
         tmp_path)
+
+
+def test_simulate_with_fit_leaves_numpy_ma_unimported(tmp_path):
+    # the fit metrics compare supports by boolean masks; np.isin's np.unique imports numpy.ma
+    run_python(["-c", (
+        "import sys\n"
+        "from mipdetect.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "assert 'numpy.ma' not in sys.modules, 'simulate imported numpy.ma'\n"
+    ), "simulate", "--example", "2", "--mu-grid", "8", "--methods", "Full", "--with-fit",
+        "--reps", "1", "--seed", "0", "--out", "s.csv"], tmp_path)
 
 
 @pytest.mark.parametrize("shared", [False, True], ids=["private", "shared"])
@@ -492,6 +504,21 @@ def test_plot_data_columns_are_the_library_detectors(tmp_path):
     _, rows = read_rows(out)
     for j, column in enumerate(want, start=1):
         assert [r[j] for r in rows] == [_cell(v) for v in column.tolist()], j
+
+
+def test_plot_data_scores_each_row_against_the_clean_set_once(tmp_path, monkeypatch):
+    # the suspects' checking statistics come from the checking step, the members' from one call
+    _, csv = swamping_csv(tmp_path)
+    scored = []
+    stats = mip_module._checking_stats
+
+    def spy(Z, clean, rows):
+        scored.extend(rows.tolist())
+        return stats(Z, clean, rows)
+
+    monkeypatch.setattr(mip_module, "_checking_stats", spy)
+    assert run_cli(["plot-data", csv, "--m", 50, "--seed", 0, "--out", tmp_path / "p.csv"])[0] == 0
+    assert sorted(scored) == list(range(60))
 
 
 def test_plot_data_sweeps_the_first_working_set_once(tmp_path, sweep_calls):

@@ -4,6 +4,8 @@ import hashlib
 import importlib.util
 import inspect
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -674,3 +676,36 @@ def test_shared_detect_memory_is_z_plus_two_gram_blocks():
     assert report.flagged().size > 0
     bound = X.nbytes + 2 * 8 * n * n + 16_000_000
     assert peak <= bound, (peak, bound)
+
+
+SHARED_DETECT_DIGEST = """
+import hashlib, os, sys
+if sys.argv[1] == "one-cpu":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import numpy as np
+from mipdetect import Dataset, MipConfig, mip_detect
+rng = np.random.default_rng(0)
+X, y = rng.standard_normal((1000, 2000)), rng.standard_normal(1000)
+X[:10] += 3.0
+y[:10] += 8.0
+report = mip_detect(Dataset(y=y, X=X), MipConfig(shared_subsets=True))
+assert report.flagged().size >= 10
+print(hashlib.sha256(report.records.tobytes() + report.clean_set.tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+def test_shared_detect_bits_do_not_follow_blas_threads_or_cpus():
+    # K, the pool's products and standardize run in fixed panels on one OpenBLAS thread each
+    digests = {}
+    for setting in ("1", "2", "one-cpu"):
+        env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p)
+        if setting != "one-cpu":
+            env["OPENBLAS_NUM_THREADS"] = setting
+        proc = subprocess.run([sys.executable, "-c", SHARED_DETECT_DIGEST, setting],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        digests[setting] = proc.stdout.strip()
+    assert len(set(digests.values())) == 1, digests

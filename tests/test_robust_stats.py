@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mipdetect import Dataset, DegenerateColumnError, EstimatorMode, standardize
-from mipdetect.robust_stats import _BLOCK_BYTES, MAD_SCALE_FACTOR, _location_scale
+from mipdetect.robust_stats import _BLOCK_BYTES, MAD_SCALE_FACTOR, _location_scale, _workers
 
 from ground_truth import marginal_correlation, robust_location_scale
 
@@ -240,7 +240,7 @@ def _column_draw(rng, kind, n, p):
 
 
 def _block_width(n):
-    return _BLOCK_BYTES // (8 * n)
+    return _BLOCK_BYTES // (8 * n * _workers())
 
 
 @pytest.mark.parametrize("kind", ["normal", "ties", "signed_zeros"])
@@ -285,6 +285,15 @@ def test_robust_standardize_peaks_at_z_plus_one_block():
     finally:
         tracemalloc.stop()
     assert peak <= Z.Z.nbytes + 4_000_000, (peak, Z.Z.nbytes)
+
+
+@pytest.mark.parametrize("n", [255, 256, 257, 1000])
+def test_gram_panels_match_the_direct_product_and_are_exactly_symmetric(n):
+    # K is built from 256-row panels: syrk on the diagonal, mirrored products above it
+    Z = standardize(random_dataset(np.random.default_rng(n), n, 300), EstimatorMode.ROBUST)
+    K, direct = Z.gram, Z.Z @ Z.Z.T
+    assert np.max(np.abs(K - direct)) <= 1e-10 * np.max(np.abs(direct))
+    assert np.array_equal(K, K.T)
 
 
 # ---------------------------------------------------------------------------

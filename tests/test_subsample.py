@@ -13,11 +13,12 @@ from mipdetect import (
     subset_size,
 )
 from mipdetect.chi2_fdr import chi2_1_sf_vec
-from mipdetect import simbench, subsample
+from mipdetect import checking_step, robust_stats, simbench, subsample
 from mipdetect.subsample import (
     _SHARED_KEY_SLOT,
     _SHARED_OVERDRAW,
     _indicators,
+    _spread,
     _stream_key,
     _uniforms,
     draw_subsets,
@@ -601,4 +602,100 @@ def test_blas_pin_nests_across_threads_and_restores_after_a_raise(two_blas_threa
     assert 30 * 10 * 30 <= subsample._BLOCK_FLOATS  # the sweep's 30 targets of 10 rows: one block
     assert in_lasso == [1] * 6 and in_sweep == [1]  # 5 CV paths and the final one; one block
     assert get() == 2
+    assert subsample._one_blas_thread.depth == 0
+
+
+# ---------------------------------------------------------------------------
+# fixed panels spread over the CPUs, each on one OpenBLAS thread
+# ---------------------------------------------------------------------------
+
+
+class BlasCountSpy(np.ndarray):
+    """An array whose matrix products record the OpenBLAS thread count they run under."""
+
+    seen: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            BlasCountSpy.seen.append(blas[0]())
+        plain = lambda xs: tuple(x.view(np.ndarray) if isinstance(x, BlasCountSpy) else x for x in xs)
+        if "out" in kwargs:
+            kwargs["out"] = plain(kwargs["out"])
+        return getattr(ufunc, method)(*plain(inputs), **kwargs)
+
+
+@needs_openblas
+def test_gram_pool_and_checking_products_run_on_one_blas_thread(two_blas_threads, monkeypatch):
+    get, _ = two_blas_threads
+    monkeypatch.setattr(BlasCountSpy, "seen", [])
+    n = 600
+    Z = influence_from(np.random.default_rng(51).standard_normal((n, 40)))
+    object.__setattr__(Z, "Z", Z.Z.view(BlasCountSpy))
+    Z.gram
+    assert BlasCountSpy.seen == [1] * 6  # K's 3 panels: the diagonal block and the block right of it
+
+    BlasCountSpy.seen.clear()
+    Z.__dict__["gram"] = Z.gram.view(BlasCountSpy)
+    m = 100
+    assert subset_ids(m, shared=True) > subsample._POOL_PANEL
+    min_max_sweep(Z, np.arange(n), m, n // 2 + 1, seed=5, round_id=0, shared=True)
+    assert BlasCountSpy.seen == [1, 1]  # the pool's two 128-row products; no target starved
+
+    BlasCountSpy.seen.clear()
+    checking_step(Z, np.arange(n // 2))
+    assert BlasCountSpy.seen == [1, 1]  # the clean-set sum and its products with every row
+    assert get() == 2
+
+
+@needs_openblas
+def test_spread_runs_every_task_on_one_blas_thread(two_blas_threads):
+    get, _ = two_blas_threads
+    out = np.zeros(9)
+
+    def task(i):
+        out[i] = get()
+
+    _spread(task, range(9))
+    assert out.tolist() == [1.0] * 9
+    assert get() == 2
+
+
+@needs_openblas
+def test_spread_runs_inline_on_one_cpu_but_still_pinned(two_blas_threads, monkeypatch):
+    get, _ = two_blas_threads
+    monkeypatch.setattr(robust_stats, "_workers", lambda: 1)
+    seen = []
+    _spread(lambda i: seen.append((threading.get_ident(), get())), range(5))
+    assert seen == [(threading.get_ident(), 1)] * 5
+
+
+@needs_openblas
+def test_spread_runs_inline_and_unpinned_without_the_openblas_symbols(two_blas_threads, monkeypatch):
+    get, _ = two_blas_threads
+    monkeypatch.setattr(subsample._one_blas_thread, "calls", ())
+    monkeypatch.setattr(threading, "Thread", lambda *a, **k: pytest.fail("a thread was started"))
+    seen = []
+    _spread(lambda i: seen.append((threading.get_ident(), get())), range(5))
+    assert seen == [(threading.get_ident(), 2)] * 5
+
+
+def test_spread_runs_a_single_task_inline_and_unpinned(monkeypatch):
+    # one product, as one call on the caller's BLAS threads: K at n <= 256 keeps its bits
+    monkeypatch.setattr(threading, "Thread", lambda *a, **k: pytest.fail("a thread was started"))
+    seen = []
+    _spread(lambda i: seen.append((i, threading.get_ident(), subsample._one_blas_thread.depth)), [7])
+    assert seen == [(7, threading.get_ident(), 0)]
+
+
+def test_spread_raises_a_tasks_exception_and_leaves_no_thread_behind(monkeypatch):
+    monkeypatch.setattr(robust_stats, "_workers", lambda: 4)
+    before = set(threading.enumerate())
+
+    def task(i):
+        if i == 3:
+            raise ValueError(f"task {i} failed")
+
+    with pytest.raises(ValueError, match="task 3 failed"):
+        _spread(task, range(40))
+    assert set(threading.enumerate()) == before
     assert subsample._one_blas_thread.depth == 0
