@@ -42,7 +42,6 @@ from .mip import (
     mip_detect,
 )
 from .robust_stats import Dataset, DegenerateColumnError, EstimatorMode, standardize
-from .simbench import METHODS, MetricRow, ScenarioKind, ScenarioSpec, run_experiment
 
 SCHEMA_VERSION = 2
 
@@ -327,10 +326,15 @@ def write_him_outputs(report: DetectionReport, digest: str, report_path: str, fl
     )
 
 
-RESULT_COLUMNS = tuple(f.name for f in dataclasses.fields(MetricRow))
+def run_experiment(*args, **kwargs):
+    """``simbench.run_experiment``, imported on first call: only simulate loads simbench."""
+    from .simbench import run_experiment
+    return run_experiment(*args, **kwargs)
 
 
-def results_to_csv(rows: list[MetricRow]) -> str:
+def results_to_csv(rows: list) -> str:
+    """The results.csv text of ``simbench.MetricRow`` rows."""
+    from .simbench import RESULT_COLUMNS
     return _csv_text(RESULT_COLUMNS, (dataclasses.astuple(r) for r in rows))
 
 
@@ -469,6 +473,7 @@ def cmd_plot_data(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .simbench import ScenarioKind, ScenarioSpec
     kinds = {"1": ScenarioKind.EXAMPLE1, "2": ScenarioKind.EXAMPLE2, "null": ScenarioKind.NULL}
     kind = kinds[args.example]
     grid: list[float] = []
@@ -527,7 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mu-grid", nargs="+", default=["0"], help="signal strengths")
     sp.add_argument("--reps", type=int, default=20)
     sp.add_argument(
-        "--methods", default="MIP,HIM", help=f"comma-separated, from {','.join(METHODS)}"
+        "--methods", default="MIP,HIM",
+        help="comma-separated, from MIP,HIM,MaxOnly,MinMultiRound,Full",
     )
     sp.add_argument("--n", type=int, default=100)
     sp.add_argument("--p", type=int, default=1000)

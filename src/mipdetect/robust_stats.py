@@ -8,10 +8,11 @@ plain moments and median/MAD.
 
 The large dense work runs in fixed panels on one OpenBLAS thread each
 (``_one_blas_thread``), spread over the usable CPUs by ``_spread``: the
-robust scale's column blocks and the 256-row panels of K = Z Z^T. A
-panel's bits therefore never depend on how many threads run, and no
-OpenBLAS worker is woken to spin after a product. Work of a single panel
-(K at n <= 256) stays one call on the caller's BLAS threads.
+robust location/scale's column blocks, the row panels that build Z and
+the 256-row panels of K = Z Z^T. A panel's bits therefore never depend
+on how many threads run, and no OpenBLAS worker is woken to spin after a
+product. Work of a single panel (K at n <= 256) stays one call on the
+caller's BLAS threads.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ import numpy as np
 # Normal-consistency factor for the MAD: 1/Phi^{-1}(3/4).
 MAD_SCALE_FACTOR = 1.4826
 
-# Bytes of column blocks of the robust standardization, shared by its
-# workers: 131 columns each at n = 1000 on 2 CPUs. Blocks of 1-4 MB timed
-# alike on one worker; full-width ones were about 20% slower at n = 1000,
-# and would double the peak. Half-size blocks on 2 CPUs cost 3 ms of wall
-# and 6 ms of CPU per n = 1000, p = 2000 standardize.
+# Bytes of the robust scale's column blocks, and of Z's row panels, shared
+# by the workers: 131 columns or 65 rows each at n = 1000, p = 2000 on 2
+# CPUs. Column blocks of 1-4 MB timed alike on one worker; full-width ones
+# were about 20% slower at n = 1000, and would double the peak. Half-size
+# blocks on 2 CPUs cost 3 ms of wall and 6 ms of CPU per standardize there.
 _BLOCK_BYTES = 1 << 21
 
 # Rows per panel of K = Z Z^T: n <= 256 is one product, as a single call.
@@ -239,49 +240,46 @@ def _select_medians(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     for its NaN check), which takes NumPy's generic multi-pivot path; one
     pivot at h = n // 2 takes the SIMD selection path instead, about 3x
     faster. For even n the lower middle is the largest value left of h.
-    The middle element or pair is then averaged by ``np.mean``, the
-    reduction ``np.median`` ends with, so the bits are the same, signed
-    zeros included. Callers guarantee finite values.
+    The middle element or pair (copied out: each row keeps its values) is
+    averaged by ``np.mean``, the reduction ``np.median`` ends with, so the
+    bits are the same, signed zeros included. Callers guarantee finite values.
     """
     n = rows.shape[1]
     h = n // 2
     rows.partition(h, axis=1)
-    if n % 2 == 0:
-        rows[:, h - 1] = rows[:, :h].max(axis=1)
-    return np.mean(rows[:, (n - 1) // 2 : h + 1], axis=1, out=out)
+    mid = rows[:, h : h + 1] if n % 2 else np.stack((rows[:, :h].max(axis=1), rows[:, h]), axis=1)
+    return np.mean(mid, axis=1, out=out)
 
 
 def _location_scale(A: np.ndarray, mode: EstimatorMode):
-    """(A minus its column locations, the locations, the scales) of the n x q matrix A.
+    """(The column locations, the column scales) of the n x q matrix A.
 
     SAMPLE reduces the whole matrix along axis 0: the mean, then the
-    (n-1)-denominator standard deviation, and only then allocates the
-    centred copy, which can reuse the memory of np.std's temporaries.
-    ROBUST takes the median and 1.4826 * MAD over column blocks spread over
-    the CPUs (``_spread``), each block copied transposed so that its columns
-    are contiguous rows, selected for the median, then refilled with the
-    absolute deviations. The blocks share 2 MB among the CPUs, so the peak
-    memory is the centred copy plus about 2 MB; medians are exact, so the
-    bits do not depend on the block width.
+    (n-1)-denominator standard deviation. ROBUST takes the median and
+    1.4826 * MAD over column blocks spread over the CPUs (``_spread``),
+    each block copied transposed so that its columns are contiguous rows,
+    selected for the median, then centred and made absolute in place for
+    the MAD, which does not depend on the order the selection left. The
+    blocks share 2 MB among the CPUs; medians are exact, so the bits do not
+    depend on the block width.
     """
     if mode is EstimatorMode.SAMPLE:
-        mu, sigma = np.mean(A, axis=0), np.std(A, axis=0, ddof=1)
-        return A - mu, mu, sigma
+        return np.mean(A, axis=0), np.std(A, axis=0, ddof=1)
     n, q = A.shape
     width = max(1, _BLOCK_BYTES // (8 * n * _workers()))
-    out, mu, sigma = np.empty((n, q)), np.empty(q), np.empty(q)
+    mu, sigma = np.empty(q), np.empty(q)
 
     def block(j):
         cols = slice(j, j + width)
         rows = A[:, cols].T.copy()
         _select_medians(rows, mu[cols])
-        np.subtract(A[:, cols], mu[cols], out=out[:, cols])
-        np.abs(out[:, cols].T, out=rows)
+        rows -= mu[cols, None]
+        np.abs(rows, out=rows)
         _select_medians(rows, sigma[cols])
 
     _spread(block, range(0, q, width))
     sigma *= MAD_SCALE_FACTOR
-    return out, mu, sigma
+    return mu, sigma
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +292,7 @@ def standardize(d: Dataset, mode: EstimatorMode = EstimatorMode.ROBUST) -> Influ
 
     The response and each predictor column get one (location, scale) from
     ``_location_scale``, the response first. Z is centred, scaled, then
-    weighted by yhat in one n-by-p buffer.
+    weighted by yhat, in row panels that share 2 MB (``_spread``).
 
     Parameters
     ----------
@@ -312,16 +310,23 @@ def standardize(d: Dataset, mode: EstimatorMode = EstimatorMode.ROBUST) -> Influ
     DegenerateColumnError
         If the response or any predictor column has zero scale.
     """
-    centred_y, (mu_y,), (sigma_y,) = _location_scale(d.y[:, None], mode)
+    (mu_y,), (sigma_y,) = _location_scale(d.y[:, None], mode)
     if sigma_y <= 0.0:
         raise DegenerateColumnError(None)
-    Z, mu_x, sigma_x = _location_scale(d.X, mode)
+    mu_x, sigma_x = _location_scale(d.X, mode)
     bad = np.flatnonzero(sigma_x <= 0.0)
     if bad.size:
         raise DegenerateColumnError(int(bad[0]))
-    yhat = centred_y[:, 0] / sigma_y
-    Z /= sigma_x
-    Z *= yhat[:, None]
+    yhat, Z = (d.y - mu_y) / sigma_y, np.empty(d.X.shape)
+    height = max(1, _BLOCK_BYTES // (8 * d.p * _workers()))
+
+    def panel(i):
+        rows = slice(i, i + height)
+        np.subtract(d.X[rows], mu_x, out=Z[rows])
+        Z[rows] /= sigma_x
+        Z[rows] *= yhat[rows, None]
+
+    _spread(panel, range(0, d.n, height))
     return InfluenceMatrix(
         Z=Z,
         yhat=yhat,

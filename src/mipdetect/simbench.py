@@ -82,6 +82,9 @@ class MetricRow:
     fit_reps: int  # reps whose refit err is in the fit columns' means
 
 
+RESULT_COLUMNS = tuple(f.name for f in fields(MetricRow))  # results.csv's header
+
+
 # ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------

@@ -22,20 +22,22 @@ K = Z Z^T, so a subset costs O(n_U), not O(p), once K exists (``_scores``).
 K is formed once per sample (``InfluenceMatrix.gram``) and a sweep takes
 the working set's block K_U of it, then scores every observation of the
 set. Private draws and the shared pool both score 0/1 indicator rows W
-against K_U (``_subset_extremes``): R = W @ K_U, q = <R_r, W_r> and
-g = R[r, k]. They differ only in where the rows come from: m streams of
-the target's own, or one pool of ceil(2.5 m) subsets drawn from a reserved
-target slot, of which each target scores the first m that exclude it, or
-its private draws if the pool has too few. ``subset_ids`` is where a
-sweep's subset-id count is checked against the key's 20-bit field.
-The pool is scored in fixed 128-row products (``_pool_product``), each
-on one OpenBLAS thread, spread over the CPUs like K's panels, so its bits
-do not follow the BLAS thread count (a pool of one panel is one call on
-the caller's BLAS threads, as before). Private blocks are drawn and scored
-one after another on the caller, in three buffers of about 1 MB
-(``_BLOCK_FLOATS``) allocated once per sweep, small ones on one OpenBLAS
-thread; larger ones keep the caller's BLAS threads, and at large n their
-bits may follow the thread count.
+against K_U: R = W @ K_U, q = <R_r, W_r> and g = R[r, k]. They differ in
+where the rows come from: m streams of the target's own, or one pool of
+ceil(2.5 m) subsets drawn from a reserved target slot, of which each
+target scores the first m that exclude it, or its private draws if the
+pool has too few. ``subset_ids`` is where a sweep's subset-id count is
+checked against the key's 20-bit field. The pool is scored in fixed
+128-row panels (``_pool_extremes``), each on one OpenBLAS thread, spread
+over the CPUs like K's panels: a panel forms its rows of R, scores them
+in place and keeps each target's extremes over its usable rows, so no
+bit follows the BLAS thread count (a pool of one panel is one call on
+the caller's BLAS threads). Private blocks hold m consecutive rows per
+target (``_subset_extremes``), drawn and scored one after another on the
+caller, in three buffers of about 1 MB (``_BLOCK_FLOATS``) allocated
+once per sweep, small ones on one OpenBLAS thread; larger ones keep the
+caller's BLAS threads, and at large n their bits may follow the thread
+count.
 """
 
 from __future__ import annotations
@@ -173,35 +175,48 @@ def draw_subsets(active, k: int, m: int, n_sub: int, seed: int, round_id: int = 
 # ---------------------------------------------------------------------------
 
 
-def _scores(q: np.ndarray, g: np.ndarray, K_kk, s: int, p: int) -> np.ndarray:
+def _scores(q: np.ndarray, g: np.ndarray, K_kk, s: int, p: int, out=None) -> np.ndarray:
     """p^{-1} (q/s^2 - 2g/s + K_kk): a squared norm, so round-off below 0 is clamped."""
-    stats = (q / s - 2.0 * g) / s + K_kk
+    stats = np.subtract(q / s, np.multiply(2.0, g, out=out), out=out)
+    stats /= s
+    stats += K_kk
     np.maximum(stats, 0.0, out=stats)
     stats /= p
     return stats
 
 
-def _subset_extremes(W, R, K, rows, targets, s, p) -> np.ndarray:
-    """Rows T_min, T_max: extremes of the statistics of ``W[rows[i]]`` at target ``targets[i]``.
+def _subset_extremes(W, R, K, targets, s, p) -> np.ndarray:
+    """Rows T_min, T_max of a private block: target ``targets[i]`` scores rows i*m..(i+1)*m-1.
 
-    R is W @ K, taken in products of rows that do not depend on the block
-    the rows are scored in, so that a row's bits never do either.
+    R is W @ K in products of m rows, so a row's bits never depend on its block.
     """
-    q = np.einsum("ij,ij->i", R, W)
-    r, k = rows.ravel(), np.repeat(targets, rows.shape[1])
-    stats = _scores(q[r], R[r, k], K.diagonal()[k], s, p).reshape(rows.shape)
+    q = np.einsum("ij,ij->i", R, W).reshape(targets.size, -1)
+    g = R.reshape(targets.size, -1, R.shape[1])[np.arange(targets.size), :, targets]
+    stats = _scores(q, g, K.diagonal()[targets, None], s, p, out=g)
     return np.stack((stats.min(axis=1), stats.max(axis=1)))
 
 
-def _pool_product(member, K) -> np.ndarray:
-    """member @ K in fixed ``_POOL_PANEL``-row products, spread over the CPUs (``_spread``)."""
-    R = np.empty(member.shape)
+def _pool_extremes(member, usable, K, s, p) -> np.ndarray:
+    """Rows T_min, T_max of each column over the pooled rows that ``usable`` marks.
 
-    def panel(lo):
-        np.matmul(member[lo:lo + _POOL_PANEL], K, out=R[lo:lo + _POOL_PANEL])
+    Each fixed ``_POOL_PANEL``-row panel, spread over the CPUs (``_spread``), forms its
+    rows of R = member @ K, scores them in place and keeps each column's extremes over
+    its usable rows; extremes are exact, so no bit depends on the panels.
+    """
+    lows = range(0, len(member), _POOL_PANEL)
+    R, ext = np.empty(member.shape), np.empty((len(lows), 2, member.shape[1]))
+    gate = np.copysign(np.inf, usable - 0.5)  # min with it sends the unusable to -inf
 
-    _spread(panel, range(0, len(member), _POOL_PANEL))
-    return R
+    def panel(i):
+        rows = slice(lows[i], lows[i] + _POOL_PANEL)
+        W, stats, g = member[rows], R[rows], gate[rows]
+        np.matmul(W, K, out=stats)
+        _scores(np.einsum("ij,ij->i", stats, W)[:, None], stats, K.diagonal(), s, p, out=stats)
+        np.minimum(stats, g, out=stats).max(axis=0, out=ext[i, 1])
+        np.maximum(stats, np.negative(g, out=g), out=stats).min(axis=0, out=ext[i, 0])
+
+    _spread(panel, range(len(lows)))
+    return np.stack((ext[:, 0].min(axis=0), ext[:, 1].max(axis=0)))
 
 
 def subset_ids(m: int, shared: bool) -> int:
@@ -245,15 +260,11 @@ def min_max_sweep(
     private = np.arange(n_U)
     if shared:
         member = _indicators(_uniforms(seed, [_SHARED_KEY_SLOT], round_id, M, n_U), s)
-        # rank each target's usable (excluding) pooled rows; serve those with m
-        avail = member == 0.0
-        rank = np.cumsum(avail, axis=0)
+        # each target scores the first m pooled rows that exclude it, if there are m
+        rank = np.cumsum(member == 0.0, axis=0, dtype=np.int32)
         served = rank[-1] >= m
-        rows = np.nonzero((avail & (rank <= m))[:, served].T)[1].reshape(-1, m)
         private = np.flatnonzero(~served)
-        R = _pool_product(member, K)
-        t[:, served] = _subset_extremes(member, R, K, rows, np.flatnonzero(served), s, Z.p)
-        del R  # freed before the private buffers are allocated
+        t[:, served] = _pool_extremes(member, (member == 0.0) & (rank <= m), K, s, Z.p)[:, served]
 
     # one BLAS thread pays on small products only: from n_U = 300 (m = 100) it costs wall time
     pin = _one_blas_thread if m * n_U * n_U <= 4_000_000 else contextlib.nullcontext()
@@ -263,7 +274,6 @@ def min_max_sweep(
     chunk = min(private.size, max(1, _BLOCK_FLOATS // (m * n_U)))
     u, R = np.empty((chunk * m, n_U)), np.empty((chunk * m, n_U))
     part = np.empty((chunk * m, n_U - 1))
-    rows = np.arange(chunk * m).reshape(-1, m)
     for lo in range(0, private.size, chunk):
         idx = private[lo:lo + chunk]
         h = idx.size * m
@@ -272,5 +282,5 @@ def min_max_sweep(
         with pin:
             # m rows per product whatever the block holds, so a row's bits do not depend on it
             np.matmul(W.reshape(-1, m, n_U), K, out=R[:h].reshape(-1, m, n_U))
-            t[:, idx] = _subset_extremes(W, R[:h], K, rows[:idx.size], idx, s, Z.p)
+            t[:, idx] = _subset_extremes(W, R[:h], K, idx, s, Z.p)
     return t[0], t[1]

@@ -7,15 +7,23 @@ The rest are direct, slow recomputations that the package's fast paths
 are checked against, and which no product path calls.
 """
 
+import contextlib
 import hashlib
 import math
 
 import numpy as np
 
 from mipdetect.cli import CliError, _header_names
-from mipdetect.robust_stats import MAD_SCALE_FACTOR, EstimatorMode, InfluenceMatrix
+from mipdetect.robust_stats import MAD_SCALE_FACTOR, EstimatorMode, InfluenceMatrix, _one_blas_thread
 from mipdetect.simbench import _SIGMA, ConvergenceError
-from mipdetect.subsample import _stream_key
+from mipdetect.subsample import (
+    _POOL_PANEL,
+    _SHARED_KEY_SLOT,
+    _indicators,
+    _stream_key,
+    _uniforms,
+    subset_ids,
+)
 
 
 # Exact negation and power-of-two scaling leave every product in Z Z^T, and so
@@ -178,6 +186,35 @@ def group_statistic(Z, A_r, k: int, n_sub: int) -> float:
         raise ValueError("target index out of range")
     diff = Z.Z[idx].sum(axis=0) / (n_sub - 1) - Z.Z[k]
     return float(np.mean(diff * diff))
+
+
+def gathered_pool_extremes(Z, active, m: int, n_sub: int, seed: int, round_id: int):
+    """(t_min, t_max, served) of a shared-pool sweep, scored by gathering each target's rows.
+
+    The pool is the sweep's own draw and its product with K_U is taken in
+    the same fixed ``_POOL_PANEL``-row products (one OpenBLAS thread each
+    past one panel), so the bits can match. Then ``np.nonzero`` lists each
+    served target's first m pooled rows that exclude it, and the statistic
+    of every such (row, target) pair is gathered from the whole product
+    before its extremes are taken. Entries of unserved targets are NaN.
+    """
+    av = np.unique(active)
+    n_U, s, M = av.size, n_sub - 1, subset_ids(m, True)
+    K = Z.gram[np.ix_(av, av)]
+    member = _indicators(_uniforms(seed, [_SHARED_KEY_SLOT], round_id, M, n_U), s)
+    avail = member == 0.0
+    rank = np.cumsum(avail, axis=0)
+    served = rank[-1] >= m
+    rows = np.nonzero((avail & (rank <= m))[:, served].T)[1].reshape(-1, m)
+    with _one_blas_thread if M > _POOL_PANEL else contextlib.nullcontext():
+        R = np.vstack([member[lo:lo + _POOL_PANEL] @ K for lo in range(0, M, _POOL_PANEL)])
+    q = np.einsum("ij,ij->i", R, member)
+    r, k = rows.ravel(), np.repeat(np.flatnonzero(served), m)
+    stats = np.maximum((q[r] / s - 2.0 * R[r, k]) / s + K.diagonal()[k], 0.0) / Z.p
+    stats = stats.reshape(rows.shape)
+    t_min, t_max = np.full(n_U, np.nan), np.full(n_U, np.nan)
+    t_min[served], t_max[served] = stats.min(axis=1), stats.max(axis=1)
+    return t_min, t_max, served
 
 
 def point_energy(Z, k: int) -> float:

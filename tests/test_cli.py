@@ -225,6 +225,20 @@ def test_detect_leaves_numpy_ma_unimported(tmp_path, small_csv, shared):
         tmp_path)
 
 
+@pytest.mark.parametrize("shared", [False, True], ids=["private", "shared"])
+def test_detect_never_loads_simbench(tmp_path, small_csv, shared):
+    # the simulation harness and its imports cost about 16 ms per process; only simulate needs them
+    csv, _ = small_csv
+    run_python(["-c", (
+        "import sys\n"
+        "from mipdetect.cli import build_parser, main\n"
+        "build_parser().format_help()\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "assert 'mipdetect.simbench' not in sys.modules, 'detect loaded mipdetect.simbench'\n"
+    ), "detect", str(csv), "--report", "r.json", "--flags", "f.csv", *["--shared-subsets"] * shared],
+        tmp_path)
+
+
 def test_simulate_with_fit_leaves_numpy_ma_unimported(tmp_path):
     # the fit metrics compare supports by boolean masks; np.isin's np.unique imports numpy.ma
     run_python(["-c", (

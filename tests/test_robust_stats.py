@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from mipdetect import Dataset, DegenerateColumnError, EstimatorMode, standardize
-from mipdetect.robust_stats import _BLOCK_BYTES, MAD_SCALE_FACTOR, _location_scale, _workers
+from mipdetect.robust_stats import (
+    _BLOCK_BYTES,
+    MAD_SCALE_FACTOR,
+    _location_scale,
+    _select_medians,
+    _workers,
+)
 
 from ground_truth import marginal_correlation, robust_location_scale
 
@@ -20,7 +26,7 @@ def random_dataset(rng, n, p):
 
 def robust_estimates(v):
     """(median, 1.4826 * MAD) of one vector, through standardize's location/scale routine."""
-    _, (mu,), (sigma,) = _location_scale(np.array(v, dtype=np.float64)[:, None], EstimatorMode.ROBUST)
+    (mu,), (sigma,) = _location_scale(np.array(v, dtype=np.float64)[:, None], EstimatorMode.ROBUST)
     return mu, sigma
 
 
@@ -273,6 +279,25 @@ def test_robust_standardize_matches_the_np_median_oracle_byte_for_byte(kind, n, 
         assert got_mu.tobytes() == mu.tobytes()
         assert got_sigma.tobytes() == sigma.tobytes()
         assert v.tobytes() == X[:, j].tobytes()  # the input is not reordered
+
+
+@pytest.mark.parametrize("n", [4, 5, 100, 101])
+def test_select_medians_only_reorders_each_row(n):
+    # the MAD is selected from the same rows after the median's selection, so every
+    # value of a row must survive it. NumPy's SIMD selection may flip a zero's sign,
+    # which the absolute deviations drop: those the MAD reads are kept bit for bit.
+    rng = np.random.default_rng(60 + n)
+    rows = rng.standard_normal((7, n))
+    rows[:, : n // 2 : 2] = np.resize([-0.0, 0.0], rows[:, : n // 2 : 2].shape)
+    rows = rng.permuted(rows, axis=1)
+    assert np.signbit(rows[rows == 0.0]).any() and not np.signbit(rows[rows == 0.0]).all()
+    before = rows.copy()
+    out = np.empty(7)
+    _select_medians(rows, out)
+    assert np.array_equal(np.sort(rows, axis=1), np.sort(before, axis=1))
+    deviations = [np.sort(np.abs(r - out[:, None]), axis=1) for r in (rows, before)]
+    assert deviations[0].tobytes() == deviations[1].tobytes()
+    assert out.tobytes() == np.median(before, axis=1).tobytes()
 
 
 def test_robust_standardize_peaks_at_z_plus_one_block():

@@ -14,8 +14,9 @@ from mipdetect import (
     run_experiment,
     standardize,
 )
-from mipdetect.cli import RESULT_COLUMNS, results_to_csv
+from mipdetect.cli import results_to_csv
 from mipdetect.simbench import (
+    RESULT_COLUMNS,
     ConvergenceError,
     MetricRow,
     _beta_from_head,

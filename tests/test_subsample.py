@@ -28,6 +28,7 @@ from mipdetect.subsample import (
 from ground_truth import (
     chi2_1_sf,
     draw_positions,
+    gathered_pool_extremes,
     group_statistic,
     indicator_rows,
     influence_from,
@@ -456,6 +457,26 @@ def test_shared_pool_statistics_replay_the_first_usable_pooled_subsets():
         assert abs(t_min[k] - min(vals)) <= 1e-10 * max(1.0, min(vals))
         assert abs(t_max[k] - max(vals)) <= 1e-10 * max(1.0, max(vals))
     assert served >= 20
+
+
+@pytest.mark.parametrize("n, active, m, n_sub", [
+    (200, np.arange(200), 51, 101),  # M = 128: one panel, every row
+    (210, np.r_[0:90, 97:210], 52, 102),  # M = 130: a second panel of 2 rows, a shrunken set
+    (300, np.arange(300), 100, 151),  # M = 250
+    (320, np.r_[3:150, 160:320], 103, 154),  # M = 258: three panels, a shrunken set
+    (150, np.arange(150), 200, 91),  # M = 500: a partly starved pool
+])
+def test_pool_panels_match_the_gathered_pool_oracle_byte_for_byte(n, active, m, n_sub):
+    # each panel keeps its own extremes over the usable rows; the oracle gathers every
+    # served target's rows from the whole product and takes their extremes at once
+    Z = influence_from(np.random.default_rng(n).standard_normal((n, 9)))
+    t_min, t_max = min_max_sweep(Z, active, m, n_sub, seed=19, round_id=2, shared=True)
+    want_min, want_max, served = gathered_pool_extremes(Z, active, m, n_sub, 19, 2)
+    assert served.sum() >= active.size // 3
+    assert t_min[served].tobytes() == want_min[served].tobytes()
+    assert t_max[served].tobytes() == want_max[served].tobytes()
+    if m == 200:
+        assert 30 <= (~served).sum() <= 120  # the starved rows are scored in private blocks
 
 
 def test_identical_non_dyadic_rows_never_give_negative_statistics():
